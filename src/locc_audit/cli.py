@@ -38,6 +38,10 @@ from .sweep import (
 
 INLINE_SUM_TOL = 1e-9
 
+# Largest dim_a * dim_b a state file may declare; checked before any
+# amplitude storage is allocated.
+MAX_AMPLITUDES = 1 << 16
+
 
 class CliInputError(ValueError):
     pass
@@ -91,8 +95,9 @@ def load_state_file(path: str) -> PureState:
     """Read a StateFile JSON document into a PureState.
 
     Schema: {"dims": [dA, dB], "amps": [[i, j, re, im], ...]} with 0-based
-    indices.  Duplicate or out-of-range indices are malformed input; a norm
-    outside the 1e-6 gate is a normalization failure.
+    indices.  Duplicate or out-of-range indices, and dims declaring more
+    than MAX_AMPLITUDES amplitudes, are malformed input; a norm outside
+    the 1e-6 gate is a normalization failure.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -109,6 +114,11 @@ def load_state_file(path: str) -> PureState:
         raise CliInputError(f"{path}: missing or malformed dims/amps: {exc}") from None
     if dim_a < 1 or dim_b < 1:
         raise CliInputError(f"{path}: dims must be positive")
+    if dim_a * dim_b > MAX_AMPLITUDES:
+        raise CliInputError(
+            f"{path}: dims {dim_a}x{dim_b} exceed the limit of "
+            f"{MAX_AMPLITUDES} amplitudes"
+        )
 
     vec = np.zeros(dim_a * dim_b, dtype=np.complex128)
     seen = set()

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ATOL_STRUCTURAL, DensityMatrix, PureState, kron
+from .linalg import ATOL_STRUCTURAL, DensityMatrix, PureState
 from .majorization import SchmidtVector
 
 ZERO_SYMBOL = "Z"
@@ -212,6 +212,8 @@ def blank_state(choice) -> np.ndarray:
 def raw_expansion(state: SymbolicState, blank="zero") -> np.ndarray:
     """Unnormalized numeric amplitudes, row-major in (Alice, Bob) index.
 
+    Each branch word's vector is the outer product of its symbol vectors
+    (then the blank, while attached), taken for all six words at once.
     The squared norm of the result is the construction normalizer
     2(3 - alpha^4) with the blank attached, 2(3 - alpha^5) after cloning.
     """
@@ -221,14 +223,15 @@ def raw_expansion(state: SymbolicState, blank="zero") -> np.ndarray:
         ZERO_SYMBOL: np.array([1.0, 0.0], dtype=np.complex128),
         PSI_SYMBOL: np.array([alpha, state.qubit.beta], dtype=np.complex128),
     }
-    dim_b = 2 ** (state.word_length + (1 if state.has_blank else 0))
-    amps = np.zeros((3, dim_b), dtype=np.complex128)
-    for t in state.terms:
-        vec = np.array([1.0], dtype=np.complex128)
-        for sym in t.word:
-            vec = kron(vec, symbol_vecs[sym])
-        if state.has_blank:
-            vec = kron(vec, b)
+    tail = [b] if state.has_blank else []
+    factors = np.array(
+        [[symbol_vecs[sym] for sym in t.word] + tail for t in state.terms]
+    )
+    words = factors[:, 0]
+    for k in range(1, factors.shape[1]):
+        words = (words[:, :, None] * factors[:, None, k]).reshape(len(words), -1)
+    amps = np.zeros((3, words.shape[1]), dtype=np.complex128)
+    for t, vec in zip(state.terms, words):
         amps[t.alice_level - 1] += t.sign * vec
     return amps.reshape(-1)
 

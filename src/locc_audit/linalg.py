@@ -1,9 +1,9 @@
 """Dense complex linear algebra for small bipartite-state calculations.
 
 Plain numpy on small matrices (dimension <= 96): tensor products, partial
-trace over the second subsystem, Gram matrices, and a cyclic Jacobi
-eigensolver for Hermitian matrices.  All functions are pure and
-deterministic for fixed inputs.
+trace over the second subsystem, Gram matrices, and Hermitian
+eigendecomposition through LAPACK (numpy's eigh).  All functions are pure
+and deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import numpy as np
 ATOL_STRUCTURAL = 1e-12
 ATOL_ITERATIVE = 1e-10
 NORM_GATE = 1e-6
-
-_MAX_JACOBI_SWEEPS = 60
 
 
 class ShapeError(ValueError):
@@ -123,12 +121,12 @@ def gram_matrix(vectors) -> np.ndarray:
 
 
 def hermitian_eigs(h, vectors: bool = False):
-    """Eigenvalues (descending) of a Hermitian matrix via cyclic Jacobi.
+    """Eigenvalues (descending) of a Hermitian matrix via LAPACK's eigh.
 
     With vectors=True also returns the matrix whose columns are the
     orthonormal eigenvectors, ordered to match the eigenvalues.  Accepts a
-    plain ndarray or a DensityMatrix.  Each returned pair satisfies
-    ||H v - lam v|| <= 1e-10 * ||H||_F.
+    plain ndarray or a DensityMatrix.  The input must be Hermitian within
+    1e-10 and is symmetrized before the solve.
     """
     if isinstance(h, DensityMatrix):
         h = h.entries
@@ -137,62 +135,5 @@ def hermitian_eigs(h, vectors: bool = False):
         raise ShapeError("expected a square matrix")
     if np.max(np.abs(a - a.conj().T)) > ATOL_ITERATIVE:
         raise NotHermitianError("matrix is not Hermitian within 1e-10")
-
-    n = a.shape[0]
-    a = (a + a.conj().T) / 2.0
-    v = np.eye(n, dtype=np.complex128)
-    scale = float(np.linalg.norm(a, "fro"))
-    if scale == 0.0 or n == 1:
-        evals = np.zeros(n) if scale == 0.0 else a.real.diagonal().copy()
-        return (evals, v) if vectors else evals
-
-    off_target = 1e-14 * scale
-    for _ in range(_MAX_JACOBI_SWEEPS):
-        off = a - np.diag(a.diagonal())
-        if float(np.max(np.abs(off))) <= off_target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                _jacobi_rotate(a, v, p, q, off_target)
-    else:
-        raise RuntimeError("Jacobi iteration did not converge")
-
-    evals = a.diagonal().real.copy()
-    order = np.argsort(-evals, kind="stable")
-    evals = evals[order]
-    if vectors:
-        return evals, v[:, order]
-    return evals
-
-
-def _jacobi_rotate(a, v, p, q, skip_below):
-    """Zero the (p, q) entry of Hermitian a with a unitary plane rotation."""
-    apq = a[p, q]
-    mag = abs(apq)
-    if mag <= 0.01 * skip_below:
-        return
-    phase = apq / mag
-    tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-    t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0.0 else 1.0
-    c = 1.0 / np.hypot(1.0, t)
-    s = t * c
-    sp = s * phase  # s * e^{i arg(apq)}
-
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - np.conj(sp) * col_q
-    a[:, q] = sp * col_p + c * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - sp * row_q
-    a[q, :] = np.conj(sp) * row_p + c * row_q
-    # clean roundoff on the zeroed pair and keep the diagonal real
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-
-    vc_p = v[:, p].copy()
-    vc_q = v[:, q].copy()
-    v[:, p] = c * vc_p - np.conj(sp) * vc_q
-    v[:, q] = sp * vc_p + c * vc_q
+    evals, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    return (evals[::-1], v[:, ::-1]) if vectors else evals[::-1]

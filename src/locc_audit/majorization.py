@@ -16,7 +16,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .linalg import PureState, hermitian_eigs, partial_trace_b
+import numpy as np
+
+from .linalg import PureState
 
 # All comparisons of near-equal Schmidt weights are absolute: the values
 # live in [0, 1], where a relative tolerance misbehaves near zero.
@@ -71,14 +73,14 @@ def _weights(v) -> tuple:
 def schmidt_vector(state: PureState) -> SchmidtVector:
     """Schmidt vector of a bipartite pure state.
 
-    Equals the descending eigenvalues of the reduced state on the smaller
-    side, zero-clamped and cut to min(dim_a, dim_b) entries.
+    The Schmidt coefficients are the singular values of the dim_a x dim_b
+    amplitude matrix (LAPACK SVD, either side may be the smaller), so the
+    weights are their squares: min(dim_a, dim_b) of them, never negative,
+    rescaled to sum to 1.
     """
-    rho = partial_trace_b(state)
-    evals = list(hermitian_eigs(rho))
-    rank = min(state.dim_a, state.dim_b)
-    evals = evals[:rank] + [0.0] * (rank - len(evals))
-    return SchmidtVector.from_values(evals)
+    s = np.linalg.svd(state.amps.reshape(state.dim_a, state.dim_b), compute_uv=False)
+    weights = s * s
+    return SchmidtVector.from_values((weights / weights.sum()).tolist())
 
 
 def entanglement_entropy(sv) -> float:

@@ -74,8 +74,9 @@ def classify_construction(alpha, *, cross_check: bool = True) -> PairReport:
     """Full convertibility report for the witness pair at one overlap.
 
     The verdict comes from the closed-form spectra; with cross_check the
-    numeric route (expand, trace out Bob, diagonalize) must yield the same
-    verdict or InternalInconsistencyError is raised.
+    numeric route (expand the words to amplitudes, take the singular values
+    of the 3 x dim_b amplitude matrix) must yield the same verdict or
+    InternalInconsistencyError is raised.
     """
     qubit = QubitSpec(alpha)
     initial = closed_form_initial_spectrum(qubit)

@@ -4,13 +4,16 @@ Everything here is exact.  The majorization oracle compares partial sums
 of Fractions with no tolerance at all; the reduced-density oracle builds
 the full 3 x 32 amplitude matrix with sympy and traces out the second
 subsystem by an explicit matrix product, so it shares no code path with
-the word-overlap Gram shortcut in the package.
+the word-overlap Gram shortcut in the package.  The one floating-point
+reference, the np.kron chain expansion, fixes the exact bits the numeric
+amplitudes must keep.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import sympy as sp
 
 
@@ -92,3 +95,27 @@ def fraction_matrix(rho: sp.Matrix):
             row.append(Fraction(int(v.p), int(v.q)))
         out.append(row)
     return out
+
+
+def kron_chain_expansion(state, blank) -> np.ndarray:
+    """Unnormalized amplitudes of a SymbolicState by a chain of np.kron.
+
+    Each branch word is expanded symbol by symbol, left to right, starting
+    from [1], then the blank 2-vector while the state still carries it,
+    and the signed words are summed per Alice level in term order.
+    """
+    alpha, beta = state.qubit.alpha_float, state.qubit.beta
+    symbol_vecs = {
+        "Z": np.array([1.0, 0.0], dtype=np.complex128),
+        "P": np.array([alpha, beta], dtype=np.complex128),
+    }
+    width = 2 ** (state.word_length + (1 if state.has_blank else 0))
+    amps = np.zeros((3, width), dtype=np.complex128)
+    for t in state.terms:
+        vec = np.array([1.0], dtype=np.complex128)
+        for sym in t.word:
+            vec = np.kron(vec, symbol_vecs[sym])
+        if state.has_blank:
+            vec = np.kron(vec, np.asarray(blank, dtype=np.complex128))
+        amps[t.alice_level - 1] += t.sign * vec
+    return amps.reshape(-1)

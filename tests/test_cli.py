@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from locc_audit import REPORT_FIELDS
-from locc_audit.cli import main
+from locc_audit.cli import MAX_AMPLITUDES, main
 
 RT2 = 0.7071067811865476
 
@@ -141,6 +141,24 @@ class TestStateFileValidation:
             tmp_path / "short.json", [2, 2], [[0, 0, 0.5, 0], [1, 1, 0.5, 0]]
         )
         assert main(["analyze", "--psi", path, "--schmidt-b", "1,0"]) == 3
+
+    def test_oversized_dims_exit_2_before_allocating(self, tmp_path, capsys):
+        # 38 bytes on disk declaring 10^10 amplitudes (149 GiB of complex128)
+        path = tmp_path / "huge.json"
+        path.write_text('{"dims": [100000, 100000], "amps": []}')
+        assert main(["analyze", "--psi", str(path), "--schmidt-b", "1,0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+
+    def test_dims_at_the_amplitude_limit_accepted(self, tmp_path, capsys):
+        side = 256
+        assert side * side == MAX_AMPLITUDES
+        path = write_state(tmp_path / "limit.json", [side, side], [[0, 0, 1.0, 0.0]])
+        assert main(["analyze", "--psi", path, "--schmidt-b", "1,0"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["verdict"] == "Equivalent"
+        assert out["schmidt_a"] == [1.0] + [0.0] * (side - 1)
 
 
 class TestPaperVerify:

@@ -35,6 +35,7 @@ from locc_audit import (
 from oracles import (
     exact_classify,
     fraction_matrix,
+    kron_chain_expansion,
     sympy_reduced_density,
     sympy_spectrum,
 )
@@ -228,6 +229,17 @@ class TestExpansion:
         a = expand(final, blank="zero")
         b = expand(final, blank="one")
         np.testing.assert_array_equal(a.amps, b.amps)
+
+
+    @pytest.mark.parametrize("alpha", [Fraction(1, 2), 1e-3, 0.3, 0.8, 0.999])
+    def test_bit_identical_to_kron_chain(self, alpha):
+        pre = build_initial(QubitSpec(alpha))
+        for state in (pre, apply_cloner(pre)):
+            for blank in sorted(BLANK_CHOICES):
+                got = raw_expansion(state, blank)
+                ref = kron_chain_expansion(state, blank_state(blank))
+                assert np.array_equal(got, ref)
+                assert got.tobytes() == ref.tobytes()  # signed zeros included
 
 
 class TestReducedDensity:

@@ -1,4 +1,4 @@
-"""Dense-linalg layer: products, partial trace, and the Jacobi eigensolver."""
+"""Dense-linalg layer: products, partial trace, and the eigh wrapper."""
 
 from __future__ import annotations
 

@@ -62,6 +62,28 @@ class TestSchmidtVector:
         assert len(sv) == 2
         assert sum(sv.probs) == pytest.approx(1.0, abs=1e-10)
 
+    def test_svd_route_is_side_symmetric(self):
+        rng = np.random.default_rng(64)
+        m = rng.normal(size=(64, 2)) + 1j * rng.normal(size=(64, 2))
+        m /= np.linalg.norm(m)
+        tall = schmidt_vector(PureState(64, 2, m)).probs
+        wide = schmidt_vector(PureState(2, 64, m.T)).probs
+        expected = np.linalg.svd(m, compute_uv=False) ** 2
+        assert len(tall) == len(wide) == 2
+        np.testing.assert_allclose(tall, wide, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(tall, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(wide, expected, rtol=0, atol=1e-12)
+
+    def test_rank_deficient_state_has_zero_not_negative_weights(self):
+        rng = np.random.default_rng(44)
+        u = rng.normal(size=4) + 1j * rng.normal(size=4)
+        v = rng.normal(size=4) + 1j * rng.normal(size=4)
+        m = np.outer(u, v)
+        sv = schmidt_vector(PureState(4, 4, m / np.linalg.norm(m)))
+        assert len(sv) == 4
+        assert sv.probs[0] == pytest.approx(1.0, abs=1e-12)
+        assert all(0.0 <= p <= 1e-15 for p in sv.probs[1:])
+
     def test_from_values_sorts_descending(self):
         sv = SchmidtVector.from_values([0.2, 0.5, 0.3])
         assert sv.probs == (0.5, 0.3, 0.2)
