@@ -23,6 +23,7 @@ from .construction import (
     initial_spectrum_values,
     normalizer,
     raw_expansion,
+    witness_amplitudes,
 )
 from .linalg import (
     ATOL_ITERATIVE,
@@ -33,7 +34,6 @@ from .linalg import (
     NotNormalizedError,
     PureState,
     ShapeError,
-    gram_matrix,
     hermitian_eigs,
     kron,
     partial_trace_b,
@@ -47,6 +47,7 @@ from .majorization import (
     incomparable_fast_path_d3,
     is_majorized_by,
     schmidt_vector,
+    schmidt_vectors,
 )
 from .sweep import (
     REPORT_FIELDS,
@@ -56,6 +57,7 @@ from .sweep import (
     SweepRangeError,
     ThresholdResult,
     classify_construction,
+    classify_constructions,
     find_threshold,
     grid,
     no_deleting_check,

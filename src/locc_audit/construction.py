@@ -212,28 +212,68 @@ def blank_state(choice) -> np.ndarray:
 def raw_expansion(state: SymbolicState, blank="zero") -> np.ndarray:
     """Unnormalized numeric amplitudes, row-major in (Alice, Bob) index.
 
-    Each branch word's vector is the outer product of its symbol vectors
-    (then the blank, while attached), taken for all six words at once.
-    The squared norm of the result is the construction normalizer
-    2(3 - alpha^4) with the blank attached, 2(3 - alpha^5) after cloning.
+    The n = 1 case of the witness-amplitude builder, on the state's own
+    words and overlap qubit.  The squared norm of the result is the
+    construction normalizer 2(3 - alpha^4) with the blank attached,
+    2(3 - alpha^5) after cloning.
     """
-    b = blank_state(blank)
-    alpha = state.qubit.alpha_float
-    symbol_vecs = {
-        ZERO_SYMBOL: np.array([1.0, 0.0], dtype=np.complex128),
-        PSI_SYMBOL: np.array([alpha, state.qubit.beta], dtype=np.complex128),
-    }
-    tail = [b] if state.has_blank else []
-    factors = np.array(
-        [[symbol_vecs[sym] for sym in t.word] + tail for t in state.terms]
-    )
-    words = factors[:, 0]
-    for k in range(1, factors.shape[1]):
-        words = (words[:, :, None] * factors[:, None, k]).reshape(len(words), -1)
-    amps = np.zeros((3, words.shape[1]), dtype=np.complex128)
-    for t, vec in zip(state.terms, words):
-        amps[t.alice_level - 1] += t.sign * vec
-    return amps.reshape(-1)
+    qubit = state.qubit
+    return _expand_words(
+        _word_table(state), [qubit.alpha_float], [qubit.beta], blank_state(blank)
+    ).reshape(-1)
+
+
+def witness_amplitudes(alphas, *, cloned: bool = False, blank="zero") -> np.ndarray:
+    """Unnormalized (n, 3, 32) amplitudes of the witness state at n overlaps.
+
+    Row k is raw_expansion of build_initial(QubitSpec(alphas[k])), or of
+    its cloned image when cloned is true, bit for bit.  Every overlap must
+    lie strictly inside (0, 1).
+    """
+    a = np.array([float(x) for x in alphas], dtype=np.float64)
+    interior = (a > 0.0) & (a < 1.0)
+    if not interior.all():
+        bad = a[np.argmin(interior)]
+        raise DegenerateOverlapError(
+            f"overlap alpha={bad} is degenerate: need 0 < alpha < 1"
+        )
+    beta = np.sqrt(np.maximum(0.0, 1.0 - a * a))  # as QubitSpec derives it
+    return _expand_words(_WITNESS_TABLES[bool(cloned)], a, beta, blank_state(blank))
+
+
+_BLANK_CODE = 2
+_SYMBOL_CODES = {ZERO_SYMBOL: 0, PSI_SYMBOL: 1}
+
+
+def _word_table(state: SymbolicState) -> np.ndarray:
+    """(6, L) symbol codes of the branch words: 0 = Z, 1 = P, 2 = the blank."""
+    tail = [_BLANK_CODE] if state.has_blank else []
+    return np.array([[_SYMBOL_CODES[c] for c in t.word] + tail for t in state.terms])
+
+
+def _expand_words(table, alphas, betas, blank) -> np.ndarray:
+    """Signed word sums per Alice level, for n overlaps in one broadcast pass.
+
+    Each branch word's vector is the outer product of its symbol vectors,
+    taken left to right over all words and overlaps at once; the six
+    signed words are then added into the three levels in term order.
+    Returns shape (n, 3, 2**L).
+    """
+    n = len(alphas)
+    symbols = np.empty((n, 3, 2), dtype=np.complex128)  # Z, P, blank per overlap
+    symbols[:, 0] = (1.0, 0.0)
+    symbols[:, 1, 0] = alphas
+    symbols[:, 1, 1] = betas
+    symbols[:, _BLANK_CODE] = blank
+    factors = symbols[:, table]  # (n, 6, L, 2)
+    words = factors[:, :, 0]
+    for k in range(1, table.shape[1]):
+        words = words[..., None] * factors[:, :, None, k]
+        words = words.reshape(n, 6, 2 ** (k + 1))
+    amps = np.zeros((n, 3, words.shape[-1]), dtype=np.complex128)
+    for j, (level, sign) in enumerate(zip(_LEVEL_PATTERN, _SIGN_PATTERN)):
+        amps[:, level - 1] += sign * words[:, j]
+    return amps
 
 
 def expand(state: SymbolicState, blank="zero") -> PureState:
@@ -339,3 +379,12 @@ def _require_interior(qubit: QubitSpec):
         raise DegenerateOverlapError(
             f"overlap alpha={a} is degenerate: need 0 < alpha < 1"
         )
+
+
+# Word tables of the witness pair, taken from the symbolic machines once:
+# the words do not depend on the overlap, so any interior one serves.
+_WITNESS_PRE = build_initial(QubitSpec(0.5))
+_WITNESS_TABLES = {
+    False: _word_table(_WITNESS_PRE),
+    True: _word_table(apply_cloner(_WITNESS_PRE)),
+}

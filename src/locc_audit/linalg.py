@@ -1,9 +1,9 @@
 """Dense complex linear algebra for small bipartite-state calculations.
 
 Plain numpy on small matrices (dimension <= 96): tensor products, partial
-trace over the second subsystem, Gram matrices, and Hermitian
-eigendecomposition through LAPACK (numpy's eigh).  All functions are pure
-and deterministic for fixed inputs.
+trace over the second subsystem, and Hermitian eigendecomposition through
+LAPACK (numpy's eigh).  All functions are pure and deterministic for fixed
+inputs.
 """
 
 from __future__ import annotations
@@ -106,18 +106,6 @@ def partial_trace_b(state: PureState) -> DensityMatrix:
     rho = m @ m.conj().T
     rho /= np.trace(rho).real
     return DensityMatrix(state.dim_a, rho)
-
-
-def gram_matrix(vectors) -> np.ndarray:
-    """Hermitian matrix of pairwise inner products: G[j, k] = <v_k | v_j>."""
-    rows = [_as_finite_complex(v, "vector").reshape(-1) for v in vectors]
-    if not rows:
-        raise ShapeError("gram_matrix needs at least one vector")
-    dim = rows[0].size
-    if any(r.size != dim for r in rows):
-        raise ShapeError("all vectors must share one dimension")
-    v = np.vstack(rows)
-    return v @ v.conj().T
 
 
 def hermitian_eigs(h, vectors: bool = False):

@@ -78,9 +78,19 @@ def schmidt_vector(state: PureState) -> SchmidtVector:
     weights are their squares: min(dim_a, dim_b) of them, never negative,
     rescaled to sum to 1.
     """
-    s = np.linalg.svd(state.amps.reshape(state.dim_a, state.dim_b), compute_uv=False)
+    return schmidt_vectors(state.amps.reshape(1, state.dim_a, state.dim_b))[0]
+
+
+def schmidt_vectors(amps) -> list:
+    """Schmidt vectors of a stack of unit-norm amplitude matrices.
+
+    amps has shape (n, dim_a, dim_b); one stacked SVD serves all n states,
+    and each row of weights still passes SchmidtVector.from_values.
+    """
+    s = np.linalg.svd(amps, compute_uv=False)
     weights = s * s
-    return SchmidtVector.from_values((weights / weights.sum()).tolist())
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return [SchmidtVector.from_values(w) for w in weights.tolist()]
 
 
 def entanglement_entropy(sv) -> float:

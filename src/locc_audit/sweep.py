@@ -15,22 +15,26 @@ import numpy as np
 
 from .construction import (
     QubitSpec,
-    apply_cloner,
-    build_initial,
     closed_form_final_spectrum,
     closed_form_initial_spectrum,
-    expand,
+    witness_amplitudes,
 )
+from .linalg import NORM_GATE, NotNormalizedError
 from .majorization import (
     SchmidtVector,
     Verdict,
     classify,
     entanglement_entropy,
     is_majorized_by,
-    schmidt_vector,
+    schmidt_vectors,
 )
 
 SCAN_POINTS = 64
+# Largest grid a sweep accepts; checked before the grid is allocated.
+MAX_STEPS = 1 << 20
+# Overlaps cross-checked per stacked expansion and SVD: bounds the
+# temporaries to a few MB whatever the grid size.
+CROSS_CHECK_BLOCK = 1024
 
 
 class SweepRangeError(ValueError):
@@ -78,30 +82,91 @@ def classify_construction(alpha, *, cross_check: bool = True) -> PairReport:
     of the 3 x dim_b amplitude matrix) must yield the same verdict or
     InternalInconsistencyError is raised.
     """
+    return classify_constructions([alpha], cross_check=cross_check)[0]
+
+
+def classify_constructions(alphas, *, cross_check: bool = True) -> list:
+    """Reports for a list of overlaps, in order.
+
+    Each report comes from the closed-form spectra of its overlap alone;
+    with cross_check the whole list then goes through the numeric route
+    as stacked expansions and SVDs (see _cross_check).
+    """
+    reports = [_closed_form_report(a) for a in alphas]
+    if cross_check:
+        _cross_check(reports)
+    return reports
+
+
+def _closed_form_report(alpha) -> PairReport:
     qubit = QubitSpec(alpha)
     initial = closed_form_initial_spectrum(qubit)
     final = closed_form_final_spectrum(qubit)
-    verdict = classify(initial, final)
-    if cross_check:
-        pre = build_initial(qubit)
-        numeric_initial = schmidt_vector(expand(pre))
-        numeric_final = schmidt_vector(expand(apply_cloner(pre)))
-        numeric_verdict = classify(numeric_initial, numeric_final)
-        if numeric_verdict is not verdict:
-            raise InternalInconsistencyError(
-                f"alpha={float(alpha)}: closed form says {verdict}, "
-                f"numeric expansion says {numeric_verdict}"
-            )
     return PairReport(
         alpha=float(alpha),
         initial_spectrum=initial,
         final_spectrum=final,
-        verdict=verdict,
+        verdict=classify(initial, final),
         entropy_initial=entanglement_entropy(initial),
         entropy_final=entanglement_entropy(final),
         forward_blocked=not is_majorized_by(initial, final),
         backward_blocked=not is_majorized_by(final, initial),
     )
+
+
+def _cross_check(reports):
+    """Recompute every report's verdict by the numeric route.
+
+    The witness pair is expanded to amplitudes and reduced to Schmidt
+    vectors for CROSS_CHECK_BLOCK overlaps at a time; each overlap's pair
+    is classified on its own.  The first report, in list order, whose
+    numeric verdict differs raises InternalInconsistencyError.
+    """
+    for start in range(0, len(reports), CROSS_CHECK_BLOCK):
+        block = reports[start:start + CROSS_CHECK_BLOCK]
+        alphas = [r.alpha for r in block]
+        initial = _numeric_spectra(alphas, cloned=False)
+        final = _numeric_spectra(alphas, cloned=True)
+        for report, num_i, num_f in zip(block, initial, final):
+            numeric_verdict = classify(num_i, num_f)
+            if numeric_verdict is not report.verdict:
+                raise InternalInconsistencyError(
+                    f"alpha={report.alpha}: closed form says {report.verdict}, "
+                    f"numeric expansion says {numeric_verdict}"
+                )
+
+
+def _numeric_spectra(alphas, *, cloned: bool) -> list:
+    """Schmidt vectors of the witness state at each overlap.
+
+    Every row is normalized, checked for NaN/Inf and gated at 1e-6 as
+    expand() and PureState do for one state, so each overlap's amplitudes,
+    and with them its weights, are bit for bit those of the one-state route.
+    """
+    raw = witness_amplitudes(alphas, cloned=cloned)
+    rows = raw.reshape(len(alphas), -1)
+    rows = rows / _row_norms(rows)[:, None]
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        bad = alphas[int(np.argmin(finite))]
+        raise ValueError(f"alpha={bad}: amps contains NaN or Inf entries")
+    norms = _row_norms(rows)
+    off = np.abs(norms - 1.0) > NORM_GATE
+    if off.any():
+        k = int(np.argmax(off))
+        raise NotNormalizedError(
+            f"alpha={alphas[k]}: state norm {norms[k]} is outside the 1e-6 gate"
+        )
+    return schmidt_vectors((rows / norms[:, None]).reshape(raw.shape))
+
+
+def _row_norms(rows) -> np.ndarray:
+    """Euclidean norm of each complex row, bit for bit what np.linalg.norm
+    gives for that row alone: sqrt(re.re + im.im), where numpy computes
+    each row-times-column matmul with the same dot kernel as ndarray.dot."""
+    re, im = rows.real[:, None, :], rows.imag[:, None, :]
+    sq = re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)
+    return np.sqrt(sq.reshape(-1))
 
 
 def grid(alpha_min: float, alpha_max: float, steps: int) -> list:
@@ -111,12 +176,14 @@ def grid(alpha_min: float, alpha_max: float, steps: int) -> list:
         )
     if steps < 2:
         raise SweepRangeError(f"need at least 2 grid points, got {steps}")
+    if steps > MAX_STEPS:
+        raise SweepRangeError(f"at most {MAX_STEPS} grid points, got {steps}")
     return [float(x) for x in np.linspace(alpha_min, alpha_max, steps)]
 
 
 def sweep(alpha_min: float, alpha_max: float, steps: int) -> list:
     """Reports on a uniform inclusive grid, ordered by alpha."""
-    return [classify_construction(a) for a in grid(alpha_min, alpha_max, steps)]
+    return classify_constructions(grid(alpha_min, alpha_max, steps))
 
 
 def find_threshold(lo: float, hi: float, tol: float) -> ThresholdResult:
@@ -124,6 +191,8 @@ def find_threshold(lo: float, hi: float, tol: float) -> ThresholdResult:
 
     A preliminary scan must see exactly one change between adjacent points;
     zero or several raise NonMonotoneBoundaryError rather than guessing.
+    The bisection steps on closed-form verdicts; its midpoints are
+    cross-checked together once it ends.
     """
     if not (0.0 < lo < hi < 1.0):
         raise SweepRangeError(f"need 0 < lo < hi < 1, got [{lo}, {hi}]")
@@ -131,7 +200,7 @@ def find_threshold(lo: float, hi: float, tol: float) -> ThresholdResult:
         raise SweepRangeError(f"tolerance must be positive, got {tol}")
 
     points = [float(x) for x in np.linspace(lo, hi, SCAN_POINTS)]
-    verdicts = [classify_construction(a).verdict for a in points]
+    verdicts = [r.verdict for r in classify_constructions(points)]
     changes = [
         i for i in range(len(points) - 1) if verdicts[i] is not verdicts[i + 1]
     ]
@@ -143,14 +212,17 @@ def find_threshold(lo: float, hi: float, tol: float) -> ThresholdResult:
     i = changes[0]
     a, b = points[i], points[i + 1]
     verdict_below, verdict_above = verdicts[i], verdicts[i + 1]
+    midpoints = []
     while b - a > tol:
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:  # float resolution exhausted
             break
-        if classify_construction(mid).verdict is verdict_below:
+        midpoints.append(_closed_form_report(mid))
+        if midpoints[-1].verdict is verdict_below:
             a = mid
         else:
             b = mid
+    _cross_check(midpoints)
     return ThresholdResult(
         alpha_star=0.5 * (a + b),
         bracket=(a, b),

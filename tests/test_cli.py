@@ -12,6 +12,7 @@ import pytest
 
 from locc_audit import REPORT_FIELDS
 from locc_audit.cli import MAX_AMPLITUDES, main
+from locc_audit.sweep import MAX_STEPS
 
 RT2 = 0.7071067811865476
 
@@ -219,6 +220,22 @@ class TestPaperVerify:
 
     def test_bad_range_exits_2(self):
         assert main(["paper-verify", "--alpha-min", "0.9", "--alpha-max", "0.2"]) == 2
+
+    def test_oversized_steps_exit_2_before_allocating(self, capsys):
+        # 10^12 grid points would ask numpy for 7.3 TiB
+        assert main(["paper-verify", "--steps", "1000000000000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert str(MAX_STEPS) in err
+
+    def test_back_to_back_calls_share_no_state(self, capsys):
+        assert main(["paper-verify", "--steps", "5"]) == 0
+        assert capsys.readouterr().err.startswith("rows=5 ")
+        assert main(["paper-verify"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("rows=99 ")
+        assert len(captured.out.splitlines()) == 100
 
     def test_unwritable_out_exits_4(self, capsys):
         code = main(["paper-verify", "--out", "/no/such/dir/report.csv"])

@@ -31,6 +31,7 @@ from locc_audit import (
     partial_trace_b,
     raw_expansion,
     schmidt_vector,
+    witness_amplitudes,
 )
 from oracles import (
     exact_classify,
@@ -41,6 +42,7 @@ from oracles import (
 )
 
 ALPHAS = [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99]
+KRON_ALPHAS = [Fraction(1, 2), 1e-3, 0.3, 0.8, 0.999]
 
 
 def term_rows(state: SymbolicState):
@@ -231,15 +233,24 @@ class TestExpansion:
         np.testing.assert_array_equal(a.amps, b.amps)
 
 
-    @pytest.mark.parametrize("alpha", [Fraction(1, 2), 1e-3, 0.3, 0.8, 0.999])
+    @pytest.mark.parametrize("alpha", KRON_ALPHAS)
     def test_bit_identical_to_kron_chain(self, alpha):
         pre = build_initial(QubitSpec(alpha))
-        for state in (pre, apply_cloner(pre)):
+        row = KRON_ALPHAS.index(alpha)
+        for cloned, state in ((False, pre), (True, apply_cloner(pre))):
             for blank in sorted(BLANK_CHOICES):
-                got = raw_expansion(state, blank)
                 ref = kron_chain_expansion(state, blank_state(blank))
-                assert np.array_equal(got, ref)
-                assert got.tobytes() == ref.tobytes()  # signed zeros included
+                got = raw_expansion(state, blank)
+                # the same overlap taken from one stacked call over all of them
+                stacked = witness_amplitudes(KRON_ALPHAS, cloned=cloned, blank=blank)
+                for amps in (got, stacked[row].reshape(-1)):
+                    assert np.array_equal(amps, ref)
+                    assert amps.tobytes() == ref.tobytes()  # signed zeros included
+
+    def test_stacked_builder_rejects_degenerate_overlaps(self):
+        with pytest.raises(DegenerateOverlapError):
+            witness_amplitudes([0.5, 1.0])
+        assert witness_amplitudes([]).shape == (0, 3, 32)
 
 
 class TestReducedDensity:

@@ -17,12 +17,10 @@ from locc_audit import (
     apply_cloner,
     build_initial,
     expand,
-    gram_matrix,
     gram_reduced_density,
     hermitian_eigs,
     kron,
     partial_trace_b,
-    raw_expansion,
 )
 
 
@@ -155,35 +153,6 @@ class TestDensityMatrix:
         bad[0, 0] = np.inf
         with pytest.raises(ValueError):
             DensityMatrix(2, bad)
-
-
-class TestGramMatrix:
-    def test_orthonormal_set(self):
-        vecs = np.eye(3, dtype=complex)[:2]
-        np.testing.assert_allclose(gram_matrix(vecs), np.eye(2), atol=1e-15)
-
-    def test_repeated_unit_vector(self):
-        v = np.array([1.0, 1.0j]) / np.sqrt(2.0)
-        g = gram_matrix(np.array([v, v]))
-        np.testing.assert_allclose(g, np.ones((2, 2)), atol=1e-15)
-
-    def test_witness_branch_vectors_at_half(self):
-        # unnormalized branch Gram: diag(2 + 2 a^4, 2 - 2 a^4, 2 - 2 a^4)
-        rows = raw_expansion(build_initial(QubitSpec(0.5))).reshape(3, -1)
-        g = gram_matrix(rows)
-        expected = np.diag([17.0, 15.0, 15.0]) / 8.0
-        np.testing.assert_allclose(g, expected, atol=ATOL_STRUCTURAL)
-
-    def test_positive_semidefinite(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            vecs = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
-            g = gram_matrix(vecs)
-            assert np.linalg.eigvalsh(g).min() >= -1e-10
-
-    def test_mixed_lengths_rejected(self):
-        with pytest.raises(ShapeError):
-            gram_matrix([np.ones(2), np.ones(3)])
 
 
 class TestHermitianEigs:

@@ -2,23 +2,36 @@
 
 from __future__ import annotations
 
+import importlib
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from locc_audit import (
     DegenerateOverlapError,
+    InternalInconsistencyError,
     NonMonotoneBoundaryError,
     REPORT_FIELDS,
     SweepRangeError,
     Verdict,
+    apply_cloner,
+    build_initial,
     classify_construction,
+    expand,
     find_threshold,
     grid,
     no_deleting_check,
+    QubitSpec,
     report_row,
+    schmidt_vector,
     sweep,
 )
+from locc_audit.cli import main
+
+# the package exports a function named sweep, so reach the module by path
+sweep_module = importlib.import_module("locc_audit.sweep")
 
 
 class TestClassifyConstruction:
@@ -172,3 +185,76 @@ class TestGrid:
         assert pts[0] == pytest.approx(0.1)
         assert pts[-1] == pytest.approx(0.9)
         assert len(pts) == 5
+
+
+class TestCrossCheck:
+    """The numeric route runs once per list of overlaps; a disagreement must
+    still name the first overlap, in list order, where the routes differ."""
+
+    @staticmethod
+    def corrupt_closed_form_at(monkeypatch, targets):
+        # the final spectrum reads as the initial one: verdict Equivalent
+        real = sweep_module.closed_form_final_spectrum
+
+        def final_spectrum(qubit):
+            if qubit.alpha_float in targets:
+                return sweep_module.closed_form_initial_spectrum(qubit)
+            return real(qubit)
+
+        monkeypatch.setattr(sweep_module, "closed_form_final_spectrum", final_spectrum)
+
+    @staticmethod
+    def expected_error(alpha, numeric) -> str:
+        return (
+            f"alpha={alpha}: closed form says Equivalent, "
+            f"numeric expansion says {numeric}"
+        )
+
+    def test_grid_disagreement_names_the_first_alpha(self, monkeypatch, capsys):
+        points = grid(0.01, 0.99, 99)
+        # two disagreements in different blocks: the earlier one is reported
+        monkeypatch.setattr(sweep_module, "CROSS_CHECK_BLOCK", 10)
+        self.corrupt_closed_form_at(monkeypatch, {points[37], points[55]})
+        message = self.expected_error(points[37], "ForwardOnly")
+        with pytest.raises(InternalInconsistencyError, match=re.escape(message)):
+            sweep(0.01, 0.99, 99)
+        capsys.readouterr()
+        assert main(["paper-verify"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_bisection_midpoint_disagreement_is_named(self, monkeypatch, capsys):
+        seen = []
+        real = sweep_module.closed_form_final_spectrum
+
+        def spy(qubit):
+            seen.append(qubit.alpha_float)
+            return real(qubit)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sweep_module, "closed_form_final_spectrum", spy)
+            find_threshold(0.3, 0.9, 1e-8)
+        midpoints = seen[sweep_module.SCAN_POINTS:]
+        assert len(midpoints) > 5
+        target = midpoints[5]
+        numeric = classify_construction(target).verdict
+        self.corrupt_closed_form_at(monkeypatch, {target})
+        message = self.expected_error(target, numeric)
+        with pytest.raises(InternalInconsistencyError, match=re.escape(message)):
+            find_threshold(0.3, 0.9, 1e-8)
+        capsys.readouterr()
+        argv = ["threshold", "--lo", "0.3", "--hi", "0.9", "--tol", "1e-8"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_stacked_route_is_bit_identical_to_one_state_route(self):
+        # 0.5271653750094808 sits on the tolerance edge, where the two
+        # verdict routes disagree unless their weights agree to the bit
+        alphas = [float(a) for a in np.linspace(1e-4, 1 - 1e-4, 199)]
+        alphas += [8e-6, 0.5271653750094808, 0.9999995]
+        for cloned in (False, True):
+            stacked = sweep_module._numeric_spectra(alphas, cloned=cloned)
+            for alpha, got in zip(alphas, stacked):
+                state = build_initial(QubitSpec(alpha))
+                if cloned:
+                    state = apply_cloner(state)
+                assert got.probs == schmidt_vector(expand(state)).probs
