@@ -13,6 +13,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -26,15 +27,22 @@ from .construction import (
     expand,
 )
 from .linalg import NotNormalizedError, PureState
-from .majorization import SchmidtVector, classify, entanglement_entropy, schmidt_vector
+from .majorization import (
+    VERDICTS,
+    SchmidtVector,
+    Verdict,
+    classify,
+    entanglement_entropy,
+    schmidt_vector,
+)
 from .sweep import (
     REPORT_FIELDS,
     InternalInconsistencyError,
     NonMonotoneBoundaryError,
     SweepRangeError,
+    classify_block,
     find_threshold,
-    report_row,
-    sweep,
+    grid,
 )
 
 INLINE_SUM_TOL = 1e-9
@@ -52,21 +60,12 @@ class WriteFailure(OSError):
     pass
 
 
+# 17 significant digits: enough to round-trip a double exactly
+_FLOAT_SPEC = ".17g"
+
+
 def _fmt(x) -> str:
-    # 17 significant digits: enough to round-trip a double exactly
-    return format(float(x), ".17g")
-
-
-def _json_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, str):
-        return json.dumps(v)
-    return _fmt(v)
-
-
-def _json_object(pairs) -> str:
-    return "{" + ", ".join(f'"{k}": {_json_value(v)}' for k, v in pairs) + "}"
+    return format(float(x), _FLOAT_SPEC)
 
 
 def _json_vector(values) -> str:
@@ -74,7 +73,7 @@ def _json_vector(values) -> str:
 
 
 def parse_inline_schmidt(text: str) -> SchmidtVector:
-    """Comma list of weights: nonnegative, summing to 1 within 1e-9.
+    """Comma list of weights: finite, nonnegative, summing to 1 within 1e-9.
 
     Accepted vectors are renormalized and sorted descending.
     """
@@ -84,6 +83,8 @@ def parse_inline_schmidt(text: str) -> SchmidtVector:
         raise CliInputError(f"cannot parse Schmidt vector {text!r}: {exc}") from None
     if not values:
         raise CliInputError("empty Schmidt vector")
+    if not all(math.isfinite(v) for v in values):
+        raise CliInputError(f"non-finite Schmidt weight in {text!r}")
     if min(values) < 0.0:
         raise CliInputError(f"negative Schmidt weight in {text!r}")
     total = sum(values)
@@ -181,32 +182,47 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _rows_to_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REPORT_FIELDS)
-    for row in rows:
-        writer.writerow([_csv_cell(row[key]) for key in REPORT_FIELDS])
-    return buf.getvalue()
+def _report_payload(block, fmt: str) -> str:
+    """The report of a WitnessBlock, one CSV line or JSON object per row
+    with the fields of REPORT_FIELDS, formatted straight from its arrays.
 
-
-def _csv_cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, str):
-        return v
-    return _fmt(v)
-
-
-def _rows_to_json(rows) -> str:
-    objs = [_json_object((key, row[key]) for key in REPORT_FIELDS) for row in rows]
-    return "[\n" + ",\n".join("  " + o for o in objs) + "\n]\n"
+    Each row goes through one str.format template whose float fields use
+    _fmt's format spec, so every cell reads as _fmt would write it.
+    """
+    number = "{:" + _FLOAT_SPEC + "}"
+    cells = [number] * 7 + ["{}"] + [number] * 2 + ["{}"] * 3
+    verdicts = [str(v) for v in VERDICTS]
+    if fmt == "json":
+        verdicts = [json.dumps(v) for v in verdicts]
+        pairs = (f'"{key}": {cell}' for key, cell in zip(REPORT_FIELDS, cells))
+        row = "  {{" + ", ".join(pairs) + "}}"
+        head, sep, tail = "[\n", ",\n", "\n]\n"
+    else:
+        row = ",".join(cells)
+        head, sep, tail = ",".join(REPORT_FIELDS) + "\n", "\n", "\n"
+    flag = ("false", "true")
+    incomparable = VERDICTS.index(Verdict.INCOMPARABLE)
+    rows = zip(
+        np.column_stack([block.alphas, block.initial, block.final]).tolist(),
+        block.codes.tolist(),
+        block.entropy_initial.tolist(),
+        block.entropy_final.tolist(),
+        block.forward_blocked.tolist(),
+        block.backward_blocked.tolist(),
+    )
+    lines = [
+        row.format(
+            *numbers, verdicts[code], ent_i, ent_f,
+            flag[fwd], flag[bwd], flag[code == incomparable],
+        )
+        for numbers, code, ent_i, ent_f, fwd, bwd in rows
+    ]
+    return head + sep.join(lines) + tail
 
 
 def cmd_paper_verify(args) -> int:
-    reports = sweep(args.alpha_min, args.alpha_max, args.steps)
-    rows = [report_row(r) for r in reports]
-    payload = _rows_to_json(rows) if args.format == "json" else _rows_to_csv(rows)
+    block = classify_block(grid(args.alpha_min, args.alpha_max, args.steps))
+    payload = _report_payload(block, args.format)
 
     if args.out is not None:
         try:
@@ -219,11 +235,12 @@ def cmd_paper_verify(args) -> int:
         sys.stdout.write(payload)
         summary_stream = sys.stderr
 
-    n_inc = sum(1 for r in reports if str(r.verdict) == "Incomparable")
-    n_fwd = sum(1 for r in reports if str(r.verdict) == "ForwardOnly")
-    universal = all(r.backward_blocked for r in reports)
+    verdicts = [VERDICTS[code] for code in block.codes.tolist()]
+    n_inc = verdicts.count(Verdict.INCOMPARABLE)
+    n_fwd = verdicts.count(Verdict.FORWARD_ONLY)
+    universal = bool(block.backward_blocked.all())
     summary_stream.write(
-        f"rows={len(reports)} incomparable={n_inc} forward_only={n_fwd} "
+        f"rows={len(verdicts)} incomparable={n_inc} forward_only={n_fwd} "
         f"no_deleting_universal={'true' if universal else 'false'}\n"
     )
     return 0

@@ -87,10 +87,50 @@ def schmidt_vectors(amps) -> list:
     amps has shape (n, dim_a, dim_b); one stacked SVD serves all n states,
     and each row of weights still passes SchmidtVector.from_values.
     """
+    return [SchmidtVector.from_values(w) for w in _svd_weights(amps).tolist()]
+
+
+def schmidt_weights(amps) -> np.ndarray:
+    """The weights of schmidt_vectors(amps) as one (n, k) array, checked
+    row-wise by schmidt_rows."""
+    return schmidt_rows(_svd_weights(amps))
+
+
+def _svd_weights(amps) -> np.ndarray:
     s = np.linalg.svd(amps, compute_uv=False)
     weights = s * s
     weights /= weights.sum(axis=-1, keepdims=True)
-    return [SchmidtVector.from_values(w) for w in weights.tolist()]
+    return weights
+
+
+def schmidt_rows(values) -> np.ndarray:
+    """SchmidtVector.from_values applied to every row of an (n, k) array.
+
+    Each row is checked for negative weights, clamped at zero and gated on
+    its sum, taken left to right over the unsorted values as sum() of
+    floats does (up to Python 3.11), then sorted descending, keeping tied
+    entries in their input order as sorted() does.  The first offending
+    row raises from_values' error.
+    """
+    vals = np.asarray(values, dtype=np.float64)
+    if vals.shape[1] == 0 and len(vals):
+        raise ValueError("Schmidt vector must be non-empty")
+    lowest = vals.min(axis=1, initial=np.inf)
+    vals = np.where(vals < 0.0, 0.0, vals)
+    total = np.zeros(len(vals))
+    for column in vals.T:
+        total += column
+    negative = lowest < -_ZERO_CLAMP
+    bad = negative | (np.abs(total - 1.0) > ATOL)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if negative[k]:
+            raise ValueError(f"negative Schmidt weight {float(lowest[k])}")
+        raise ValueError(
+            f"Schmidt weights sum to {float(total[k])}, not 1 within 1e-10"
+        )
+    # a stable ascending sort of the negated rows; negating twice is exact
+    return -np.sort(-vals, axis=1, kind="stable")
 
 
 def entanglement_entropy(sv) -> float:
@@ -99,6 +139,23 @@ def entanglement_entropy(sv) -> float:
     for p in _weights(sv):
         if p > _ZERO_CLAMP:
             total -= p * math.log2(p)
+    return total
+
+
+def entropy_rows(values) -> np.ndarray:
+    """entanglement_entropy of each row of an (n, k) array of weights.
+
+    The logarithms come from math.log2 and each row's terms are subtracted
+    left to right, so every entropy is the double the scalar function gives.
+    """
+    vals = np.asarray(values, dtype=np.float64)
+    kept = vals > _ZERO_CLAMP
+    flat = np.where(kept, vals, 1.0).ravel().tolist()
+    logs = np.array(list(map(math.log2, flat))).reshape(vals.shape)
+    terms = np.where(kept, vals * logs, 0.0)
+    total = np.zeros(len(vals))
+    for column in terms.T:
+        total -= column
     return total
 
 
@@ -134,6 +191,32 @@ def classify(a, b, *, tol: float = ATOL) -> Verdict:
     if backward:
         return Verdict.BACKWARD_ONLY
     return Verdict.INCOMPARABLE
+
+
+# Row-wise verdict codes index this tuple: 2 * (forward blocked) +
+# (backward blocked).
+VERDICTS = (
+    Verdict.EQUIVALENT,
+    Verdict.FORWARD_ONLY,
+    Verdict.BACKWARD_ONLY,
+    Verdict.INCOMPARABLE,
+)
+
+
+def majorized_rows(a, b, *, tol: float = ATOL) -> np.ndarray:
+    """is_majorized_by for each row pair of two (n, k) arrays of weights.
+
+    The running sums are cumsum rows, accumulated left to right as the
+    scalar loop does, so every comparison sees the same doubles.
+    """
+    return ~(np.cumsum(a, axis=1) > np.cumsum(b, axis=1) + tol).any(axis=1)
+
+
+def classify_rows(a, b, *, tol: float = ATOL) -> np.ndarray:
+    """classify for each row pair, as (n,) integer codes into VERDICTS."""
+    forward_blocked = ~majorized_rows(a, b, tol=tol)
+    backward_blocked = ~majorized_rows(b, a, tol=tol)
+    return 2 * forward_blocked.astype(np.int64) + backward_blocked
 
 
 def incomparable_fast_path_d3(a, b) -> bool:

@@ -9,24 +9,28 @@ is suppressed: where the forward conversion is allowed the row says so.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .construction import (
     QubitSpec,
-    closed_form_final_spectrum,
     closed_form_initial_spectrum,
+    final_spectrum_values,
+    initial_spectrum_values,
     witness_amplitudes,
 )
 from .linalg import NORM_GATE, NotNormalizedError
 from .majorization import (
+    VERDICTS,
     SchmidtVector,
     Verdict,
     classify,
-    entanglement_entropy,
-    is_majorized_by,
-    schmidt_vectors,
+    classify_rows,
+    entropy_rows,
+    schmidt_rows,
+    schmidt_weights,
 )
 
 SCAN_POINTS = 64
@@ -74,6 +78,55 @@ class ThresholdResult:
     grid_sign_changes: int
 
 
+@dataclass(frozen=True)
+class WitnessBlock:
+    """Closed-form reports of the witness pair at n overlaps, as arrays.
+
+    Row k holds what the PairReport of alphas[k] holds: the descending
+    initial and final weights, the verdict as a code into VERDICTS, and
+    both entropies.  The blocked flags are the two bits of the code.
+    """
+
+    alphas: list
+    initial: np.ndarray
+    final: np.ndarray
+    codes: np.ndarray
+    entropy_initial: np.ndarray
+    entropy_final: np.ndarray
+
+    @property
+    def forward_blocked(self) -> np.ndarray:
+        return self.codes >= 2
+
+    @property
+    def backward_blocked(self) -> np.ndarray:
+        return self.codes % 2 == 1
+
+    def reports(self) -> list:
+        return [
+            PairReport(
+                alpha=alpha,
+                initial_spectrum=SchmidtVector(tuple(li)),
+                final_spectrum=SchmidtVector(tuple(lf)),
+                verdict=VERDICTS[code],
+                entropy_initial=ent_i,
+                entropy_final=ent_f,
+                forward_blocked=fwd,
+                backward_blocked=bwd,
+            )
+            for alpha, li, lf, code, ent_i, ent_f, fwd, bwd in zip(
+                self.alphas,
+                self.initial.tolist(),
+                self.final.tolist(),
+                self.codes.tolist(),
+                self.entropy_initial.tolist(),
+                self.entropy_final.tolist(),
+                self.forward_blocked.tolist(),
+                self.backward_blocked.tolist(),
+            )
+        ]
+
+
 def classify_construction(alpha, *, cross_check: bool = True) -> PairReport:
     """Full convertibility report for the witness pair at one overlap.
 
@@ -86,58 +139,83 @@ def classify_construction(alpha, *, cross_check: bool = True) -> PairReport:
 
 
 def classify_constructions(alphas, *, cross_check: bool = True) -> list:
-    """Reports for a list of overlaps, in order.
+    """Reports for a list of overlaps, in order: classify_block's rows as
+    PairReports."""
+    return classify_block(alphas, cross_check=cross_check).reports()
 
-    Each report comes from the closed-form spectra of its overlap alone;
+
+def classify_block(alphas, *, cross_check: bool = True) -> WitnessBlock:
+    """The witness pair at a list of overlaps, classified as one block.
+
+    Each row comes from the closed-form spectra of its overlap alone;
     with cross_check the whole list then goes through the numeric route
     as stacked expansions and SVDs (see _cross_check).
     """
-    reports = [_closed_form_report(a) for a in alphas]
+    block = _witness_block(alphas)
     if cross_check:
-        _cross_check(reports)
-    return reports
+        _cross_check(block.alphas, block.codes)
+    return block
 
 
-def _closed_form_report(alpha) -> PairReport:
-    qubit = QubitSpec(alpha)
-    initial = closed_form_initial_spectrum(qubit)
-    final = closed_form_final_spectrum(qubit)
-    return PairReport(
-        alpha=float(alpha),
-        initial_spectrum=initial,
-        final_spectrum=final,
-        verdict=classify(initial, final),
-        entropy_initial=entanglement_entropy(initial),
-        entropy_final=entanglement_entropy(final),
-        forward_blocked=not is_majorized_by(initial, final),
-        backward_blocked=not is_majorized_by(final, initial),
+def _witness_block(alphas) -> WitnessBlock:
+    """Closed-form rows for a list of overlaps.
+
+    The six spectrum values of each overlap are scalar Python arithmetic
+    (numpy's vectorized powers and log2 may round differently); the weight
+    checks, the sort, both majorization tests and the entropies then run
+    on (n, 3) arrays and give every row's doubles bit for bit.
+    """
+    alphas = list(alphas)
+    floats = []
+    for alpha in alphas:
+        a = float(alpha)
+        if not 0.0 < a < 1.0:
+            # the scalar route raises the [0, 1] or degenerate-overlap error
+            closed_form_initial_spectrum(QubitSpec(alpha))
+        floats.append(a)
+    initial = _spectrum_rows(initial_spectrum_values, alphas)
+    final = _spectrum_rows(final_spectrum_values, alphas)
+    return WitnessBlock(
+        alphas=floats,
+        initial=initial,
+        final=final,
+        codes=classify_rows(initial, final),
+        entropy_initial=entropy_rows(initial),
+        entropy_final=entropy_rows(final),
     )
 
 
-def _cross_check(reports):
-    """Recompute every report's verdict by the numeric route.
+def _spectrum_rows(values, alphas) -> np.ndarray:
+    rows = np.array([values(a) for a in alphas], dtype=np.float64)
+    return schmidt_rows(rows.reshape(len(rows), 3))
+
+
+def _cross_check(alphas, codes):
+    """Recompute every verdict code by the numeric route.
 
     The witness pair is expanded to amplitudes and reduced to Schmidt
-    vectors for CROSS_CHECK_BLOCK overlaps at a time; each overlap's pair
-    is classified on its own.  The first report, in list order, whose
-    numeric verdict differs raises InternalInconsistencyError.
+    weights for CROSS_CHECK_BLOCK overlaps at a time, and each overlap's
+    pair is classified on its own.  The first overlap, in list order,
+    whose numeric verdict differs raises InternalInconsistencyError.
     """
-    for start in range(0, len(reports), CROSS_CHECK_BLOCK):
-        block = reports[start:start + CROSS_CHECK_BLOCK]
-        alphas = [r.alpha for r in block]
-        initial = _numeric_spectra(alphas, cloned=False)
-        final = _numeric_spectra(alphas, cloned=True)
-        for report, num_i, num_f in zip(block, initial, final):
-            numeric_verdict = classify(num_i, num_f)
-            if numeric_verdict is not report.verdict:
-                raise InternalInconsistencyError(
-                    f"alpha={report.alpha}: closed form says {report.verdict}, "
-                    f"numeric expansion says {numeric_verdict}"
-                )
+    for start in range(0, len(alphas), CROSS_CHECK_BLOCK):
+        chunk = alphas[start:start + CROSS_CHECK_BLOCK]
+        numeric = classify_rows(
+            _numeric_spectra(chunk, cloned=False),
+            _numeric_spectra(chunk, cloned=True),
+        )
+        closed = codes[start:start + len(chunk)]
+        off = numeric != closed
+        if off.any():
+            k = int(np.argmax(off))
+            raise InternalInconsistencyError(
+                f"alpha={chunk[k]}: closed form says {VERDICTS[closed[k]]}, "
+                f"numeric expansion says {VERDICTS[numeric[k]]}"
+            )
 
 
-def _numeric_spectra(alphas, *, cloned: bool) -> list:
-    """Schmidt vectors of the witness state at each overlap.
+def _numeric_spectra(alphas, *, cloned: bool) -> np.ndarray:
+    """(n, 3) Schmidt weights of the witness state at each overlap.
 
     Every row is normalized, checked for NaN/Inf and gated at 1e-6 as
     expand() and PureState do for one state, so each overlap's amplitudes,
@@ -157,7 +235,7 @@ def _numeric_spectra(alphas, *, cloned: bool) -> list:
         raise NotNormalizedError(
             f"alpha={alphas[k]}: state norm {norms[k]} is outside the 1e-6 gate"
         )
-    return schmidt_vectors((rows / norms[:, None]).reshape(raw.shape))
+    return schmidt_weights((rows / norms[:, None]).reshape(raw.shape))
 
 
 def _row_norms(rows) -> np.ndarray:
@@ -198,31 +276,36 @@ def find_threshold(lo: float, hi: float, tol: float) -> ThresholdResult:
         raise SweepRangeError(f"need 0 < lo < hi < 1, got [{lo}, {hi}]")
     if not tol > 0.0:
         raise SweepRangeError(f"tolerance must be positive, got {tol}")
+    if not math.isfinite(tol):
+        raise SweepRangeError(f"tolerance must be finite, got {tol}")
 
     points = [float(x) for x in np.linspace(lo, hi, SCAN_POINTS)]
-    verdicts = [r.verdict for r in classify_constructions(points)]
-    changes = [
-        i for i in range(len(points) - 1) if verdicts[i] is not verdicts[i + 1]
-    ]
+    codes = classify_block(points).codes
+    changes = np.flatnonzero(codes[1:] != codes[:-1])
     if len(changes) != 1:
         raise NonMonotoneBoundaryError(
             f"expected exactly one verdict change on [{lo}, {hi}], "
             f"found {len(changes)}"
         )
-    i = changes[0]
+    i = int(changes[0])
     a, b = points[i], points[i + 1]
-    verdict_below, verdict_above = verdicts[i], verdicts[i + 1]
-    midpoints = []
+    verdict_below, verdict_above = VERDICTS[codes[i]], VERDICTS[codes[i + 1]]
+    midpoints, verdicts = [], []
     while b - a > tol:
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:  # float resolution exhausted
             break
-        midpoints.append(_closed_form_report(mid))
-        if midpoints[-1].verdict is verdict_below:
+        verdict = classify(
+            SchmidtVector.from_values(initial_spectrum_values(mid)),
+            SchmidtVector.from_values(final_spectrum_values(mid)),
+        )
+        midpoints.append(mid)
+        verdicts.append(VERDICTS.index(verdict))
+        if verdict is verdict_below:
             a = mid
         else:
             b = mid
-    _cross_check(midpoints)
+    _cross_check(midpoints, np.array(verdicts, dtype=np.int64))
     return ThresholdResult(
         alpha_star=0.5 * (a + b),
         bracket=(a, b),
@@ -234,10 +317,7 @@ def find_threshold(lo: float, hi: float, tol: float) -> ThresholdResult:
 
 def no_deleting_check(alpha) -> bool:
     """True when the backward (deletion-direction) conversion is blocked."""
-    qubit = QubitSpec(alpha)
-    initial = closed_form_initial_spectrum(qubit)
-    final = closed_form_final_spectrum(qubit)
-    return not is_majorized_by(final, initial)
+    return classify_construction(alpha, cross_check=False).backward_blocked
 
 
 REPORT_FIELDS = (

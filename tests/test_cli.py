@@ -57,6 +57,14 @@ class TestAnalyze:
     def test_negative_weight_exits_2(self):
         assert main(["analyze", "--schmidt-a", "1.2,-0.2", "--schmidt-b", "1,0"]) == 2
 
+    @pytest.mark.parametrize("weights", ["nan,1", "inf,0", "0.5,-inf", "nan"])
+    def test_non_finite_weight_exits_2(self, weights, capsys):
+        code = main(["analyze", "--schmidt-a", weights, "--schmidt-b", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: non-finite Schmidt weight in {weights!r}\n"
+
     def test_unparseable_weight_exits_2(self):
         assert main(["analyze", "--schmidt-a", "0.5,oops", "--schmidt-b", "1,0"]) == 2
 
@@ -260,6 +268,12 @@ class TestThreshold:
 
     def test_nonpositive_tol_exits_2(self):
         assert main(["threshold", "--lo", "0.3", "--hi", "0.9", "--tol", "0"]) == 2
+
+    def test_infinite_tol_exits_2(self, capsys):
+        assert main(["threshold", "--lo", "0.3", "--hi", "0.9", "--tol", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tolerance must be finite, got inf\n"
 
 
 class TestShowState:

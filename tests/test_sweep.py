@@ -19,6 +19,7 @@ from locc_audit import (
     apply_cloner,
     build_initial,
     classify_construction,
+    classify_constructions,
     expand,
     find_threshold,
     grid,
@@ -68,6 +69,16 @@ class TestClassifyConstruction:
     def test_endpoint_rejected(self):
         with pytest.raises(DegenerateOverlapError):
             classify_construction(1.0)
+
+    def test_first_bad_overlap_in_list_order_is_named(self):
+        with pytest.raises(DegenerateOverlapError, match="alpha=1.0 is degenerate"):
+            classify_constructions([0.5, 1.0, 1.5])
+        with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\], got 1.5"):
+            classify_constructions([0.5, 1.5, 0.0])
+
+    def test_overlaps_may_come_from_an_iterator(self):
+        alphas = [0.2, Fraction(1, 2), 0.9]
+        assert classify_constructions(iter(alphas)) == classify_constructions(alphas)
 
     def test_cross_check_can_be_disabled(self):
         a = classify_construction(0.8, cross_check=False)
@@ -194,14 +205,14 @@ class TestCrossCheck:
     @staticmethod
     def corrupt_closed_form_at(monkeypatch, targets):
         # the final spectrum reads as the initial one: verdict Equivalent
-        real = sweep_module.closed_form_final_spectrum
+        real = sweep_module.final_spectrum_values
 
-        def final_spectrum(qubit):
-            if qubit.alpha_float in targets:
-                return sweep_module.closed_form_initial_spectrum(qubit)
-            return real(qubit)
+        def final_spectrum(alpha):
+            if float(alpha) in targets:
+                return sweep_module.initial_spectrum_values(alpha)
+            return real(alpha)
 
-        monkeypatch.setattr(sweep_module, "closed_form_final_spectrum", final_spectrum)
+        monkeypatch.setattr(sweep_module, "final_spectrum_values", final_spectrum)
 
     @staticmethod
     def expected_error(alpha, numeric) -> str:
@@ -224,14 +235,14 @@ class TestCrossCheck:
 
     def test_bisection_midpoint_disagreement_is_named(self, monkeypatch, capsys):
         seen = []
-        real = sweep_module.closed_form_final_spectrum
+        real = sweep_module.final_spectrum_values
 
-        def spy(qubit):
-            seen.append(qubit.alpha_float)
-            return real(qubit)
+        def spy(alpha):
+            seen.append(float(alpha))
+            return real(alpha)
 
         with monkeypatch.context() as patch:
-            patch.setattr(sweep_module, "closed_form_final_spectrum", spy)
+            patch.setattr(sweep_module, "final_spectrum_values", spy)
             find_threshold(0.3, 0.9, 1e-8)
         midpoints = seen[sweep_module.SCAN_POINTS:]
         assert len(midpoints) > 5
@@ -253,8 +264,9 @@ class TestCrossCheck:
         alphas += [8e-6, 0.5271653750094808, 0.9999995]
         for cloned in (False, True):
             stacked = sweep_module._numeric_spectra(alphas, cloned=cloned)
-            for alpha, got in zip(alphas, stacked):
+            assert stacked.shape == (len(alphas), 3)
+            for alpha, got in zip(alphas, stacked.tolist()):
                 state = build_initial(QubitSpec(alpha))
                 if cloned:
                     state = apply_cloner(state)
-                assert got.probs == schmidt_vector(expand(state)).probs
+                assert tuple(got) == schmidt_vector(expand(state)).probs
