@@ -47,7 +47,6 @@ from .majorization import (
     incomparable_fast_path_d3,
     is_majorized_by,
     schmidt_vector,
-    schmidt_vectors,
 )
 from .sweep import (
     REPORT_FIELDS,
@@ -56,8 +55,8 @@ from .sweep import (
     PairReport,
     SweepRangeError,
     ThresholdResult,
+    classify_block,
     classify_construction,
-    classify_constructions,
     find_threshold,
     grid,
     no_deleting_check,

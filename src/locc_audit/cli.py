@@ -9,9 +9,7 @@ inconsistency.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -36,6 +34,7 @@ from .majorization import (
     schmidt_vector,
 )
 from .sweep import (
+    CROSS_CHECK_BLOCK,
     REPORT_FIELDS,
     InternalInconsistencyError,
     NonMonotoneBoundaryError,
@@ -87,7 +86,9 @@ def parse_inline_schmidt(text: str) -> SchmidtVector:
         raise CliInputError(f"non-finite Schmidt weight in {text!r}")
     if min(values) < 0.0:
         raise CliInputError(f"negative Schmidt weight in {text!r}")
-    total = sum(values)
+    total = 0.0
+    for v in values:  # left to right: sum() is compensated from Python 3.12
+        total += v
     if abs(total - 1.0) > INLINE_SUM_TOL:
         raise CliInputError(f"Schmidt weights sum to {total}, not 1 within 1e-9")
     return SchmidtVector.from_values(v / total for v in values)
@@ -166,25 +167,23 @@ def cmd_analyze(args) -> int:
         )
         sys.stdout.write("{" + body + "}\n")
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["verdict", "schmidt_a", "schmidt_b", "entropy_a", "entropy_b"])
-        writer.writerow(
-            [
-                str(verdict),
-                ";".join(_fmt(p) for p in sv_a.probs),
-                ";".join(_fmt(p) for p in sv_b.probs),
-                _fmt(ent_a),
-                _fmt(ent_b),
-            ]
+        row = [
+            str(verdict),
+            ";".join(_fmt(p) for p in sv_a.probs),
+            ";".join(_fmt(p) for p in sv_b.probs),
+            _fmt(ent_a),
+            _fmt(ent_b),
+        ]
+        sys.stdout.write(
+            "verdict,schmidt_a,schmidt_b,entropy_a,entropy_b\n" + ",".join(row) + "\n"
         )
-        sys.stdout.write(buf.getvalue())
     return 0
 
 
-def _report_payload(block, fmt: str) -> str:
+def _report_payload(block, fmt: str):
     """The report of a WitnessBlock, one CSV line or JSON object per row
-    with the fields of REPORT_FIELDS, formatted straight from its arrays.
+    with the fields of REPORT_FIELDS, formatted straight from its arrays
+    and yielded CROSS_CHECK_BLOCK rows at a time.
 
     Each row goes through one str.format template whose float fields use
     _fmt's format spec, so every cell reads as _fmt would write it.
@@ -202,37 +201,43 @@ def _report_payload(block, fmt: str) -> str:
         head, sep, tail = ",".join(REPORT_FIELDS) + "\n", "\n", "\n"
     flag = ("false", "true")
     incomparable = VERDICTS.index(Verdict.INCOMPARABLE)
-    rows = zip(
-        np.column_stack([block.alphas, block.initial, block.final]).tolist(),
-        block.codes.tolist(),
-        block.entropy_initial.tolist(),
-        block.entropy_final.tolist(),
-        block.forward_blocked.tolist(),
-        block.backward_blocked.tolist(),
-    )
-    lines = [
-        row.format(
-            *numbers, verdicts[code], ent_i, ent_f,
-            flag[fwd], flag[bwd], flag[code == incomparable],
+    yield head
+    for start in range(0, len(block.alphas), CROSS_CHECK_BLOCK):
+        part = slice(start, start + CROSS_CHECK_BLOCK)
+        rows = zip(
+            np.column_stack(
+                [block.alphas[part], block.initial[part], block.final[part]]
+            ).tolist(),
+            block.codes[part].tolist(),
+            block.entropy_initial[part].tolist(),
+            block.entropy_final[part].tolist(),
         )
-        for numbers, code, ent_i, ent_f, fwd, bwd in rows
-    ]
-    return head + sep.join(lines) + tail
+        # the blocked flags are the two bits of the verdict code
+        lines = [
+            row.format(
+                *numbers, verdicts[code], ent_i, ent_f,
+                flag[code >> 1], flag[code & 1], flag[code == incomparable],
+            )
+            for numbers, code, ent_i, ent_f in rows
+        ]
+        yield (sep if start else "") + sep.join(lines)
+    yield tail
 
 
 def cmd_paper_verify(args) -> int:
+    # the whole grid is classified and cross-checked before any output
     block = classify_block(grid(args.alpha_min, args.alpha_max, args.steps))
     payload = _report_payload(block, args.format)
 
     if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(payload)
+                fh.writelines(payload)
         except OSError as exc:
             raise WriteFailure(f"cannot write {args.out}: {exc}") from None
         summary_stream = sys.stdout
     else:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(payload)
         summary_stream = sys.stderr
 
     verdicts = [VERDICTS[code] for code in block.codes.tolist()]
@@ -284,12 +289,10 @@ def cmd_show_state(args) -> int:
         )
         sys.stdout.write("{" + body + "}\n")
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["i", "j", "re", "im"])
-        for i, j, re, im in amps:
-            writer.writerow([i, j, _fmt(re), _fmt(im)])
-        sys.stdout.write(buf.getvalue())
+        sys.stdout.writelines(
+            ["i,j,re,im\n"]
+            + [f"{i},{j},{_fmt(re)},{_fmt(im)}\n" for i, j, re, im in amps]
+        )
         sys.stderr.write(
             "schmidt=" + ";".join(_fmt(p) for p in sv.probs) + "\n"
         )

@@ -32,11 +32,11 @@ with squared pre-normalization norms 2(3 - a^4) and 2(3 - a^5).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ATOL_STRUCTURAL, DensityMatrix, PureState
+from .linalg import DensityMatrix, PureState
 from .majorization import SchmidtVector
 
 ZERO_SYMBOL = "Z"
@@ -83,20 +83,17 @@ class QubitSpec:
     alpha may be a float or a Fraction; a Fraction keeps the overlap
     algebra exact.  Endpoints 0 and 1 are representable (the reduced-state
     algebra stays meaningful there) but rejected by the state builders.
+    beta is always derived from alpha.
     """
 
     alpha: object
-    beta: float = None
+    beta: float = field(init=False)
 
     def __post_init__(self):
         a = float(self.alpha)
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        beta = math.sqrt(max(0.0, 1.0 - a * a))
-        if self.beta is None:
-            object.__setattr__(self, "beta", beta)
-        elif abs(a * a + self.beta**2 - 1.0) > ATOL_STRUCTURAL:
-            raise ValueError("alpha^2 + beta^2 must equal 1")
+        object.__setattr__(self, "beta", math.sqrt(max(0.0, 1.0 - a * a)))
 
     @property
     def alpha_float(self) -> float:
@@ -223,12 +220,12 @@ def raw_expansion(state: SymbolicState, blank="zero") -> np.ndarray:
     ).reshape(-1)
 
 
-def witness_amplitudes(alphas, *, cloned: bool = False, blank="zero") -> np.ndarray:
+def witness_amplitudes(alphas, *, cloned: bool = False) -> np.ndarray:
     """Unnormalized (n, 3, 32) amplitudes of the witness state at n overlaps.
 
     Row k is raw_expansion of build_initial(QubitSpec(alphas[k])), or of
-    its cloned image when cloned is true, bit for bit.  Every overlap must
-    lie strictly inside (0, 1).
+    its cloned image when cloned is true, with the zero blank, bit for
+    bit.  Every overlap must lie strictly inside (0, 1).
     """
     a = np.array([float(x) for x in alphas], dtype=np.float64)
     interior = (a > 0.0) & (a < 1.0)
@@ -238,7 +235,7 @@ def witness_amplitudes(alphas, *, cloned: bool = False, blank="zero") -> np.ndar
             f"overlap alpha={bad} is degenerate: need 0 < alpha < 1"
         )
     beta = np.sqrt(np.maximum(0.0, 1.0 - a * a))  # as QubitSpec derives it
-    return _expand_words(_WITNESS_TABLES[bool(cloned)], a, beta, blank_state(blank))
+    return _expand_words(_WITNESS_TABLES[bool(cloned)], a, beta, blank_state("zero"))
 
 
 _BLANK_CODE = 2

@@ -55,7 +55,9 @@ class SchmidtVector:
         if min(vals) < -_ZERO_CLAMP:
             raise ValueError(f"negative Schmidt weight {min(vals)}")
         vals = [0.0 if v < 0.0 else v for v in vals]
-        total = sum(vals)
+        total = 0.0
+        for v in vals:  # left to right: sum() is compensated from Python 3.12
+            total += v
         if abs(total - 1.0) > ATOL:
             raise ValueError(f"Schmidt weights sum to {total}, not 1 within 1e-10")
         return cls(tuple(sorted(vals, reverse=True)))
@@ -78,21 +80,13 @@ def schmidt_vector(state: PureState) -> SchmidtVector:
     weights are their squares: min(dim_a, dim_b) of them, never negative,
     rescaled to sum to 1.
     """
-    return schmidt_vectors(state.amps.reshape(1, state.dim_a, state.dim_b))[0]
-
-
-def schmidt_vectors(amps) -> list:
-    """Schmidt vectors of a stack of unit-norm amplitude matrices.
-
-    amps has shape (n, dim_a, dim_b); one stacked SVD serves all n states,
-    and each row of weights still passes SchmidtVector.from_values.
-    """
-    return [SchmidtVector.from_values(w) for w in _svd_weights(amps).tolist()]
+    amps = state.amps.reshape(1, state.dim_a, state.dim_b)
+    return SchmidtVector.from_values(_svd_weights(amps)[0].tolist())
 
 
 def schmidt_weights(amps) -> np.ndarray:
-    """The weights of schmidt_vectors(amps) as one (n, k) array, checked
-    row-wise by schmidt_rows."""
+    """Schmidt weights of a stack of unit-norm (n, dim_a, dim_b) amplitude
+    matrices: one stacked SVD, each row checked by schmidt_rows."""
     return schmidt_rows(_svd_weights(amps))
 
 
@@ -107,10 +101,10 @@ def schmidt_rows(values) -> np.ndarray:
     """SchmidtVector.from_values applied to every row of an (n, k) array.
 
     Each row is checked for negative weights, clamped at zero and gated on
-    its sum, taken left to right over the unsorted values as sum() of
-    floats does (up to Python 3.11), then sorted descending, keeping tied
-    entries in their input order as sorted() does.  The first offending
-    row raises from_values' error.
+    its sum, taken left to right over the unsorted values as from_values
+    does, then sorted descending, keeping tied entries in their input
+    order as sorted() does.  The first offending row raises from_values'
+    error.
     """
     vals = np.asarray(values, dtype=np.float64)
     if vals.shape[1] == 0 and len(vals):
@@ -159,8 +153,8 @@ def entropy_rows(values) -> np.ndarray:
     return total
 
 
-def is_majorized_by(a, b, *, tol: float = ATOL) -> bool:
-    """Whether every partial sum of a stays within tol below b's.
+def is_majorized_by(a, b) -> bool:
+    """Whether every partial sum of a stays within ATOL below b's.
 
     True means the state carrying Schmidt vector a converts to the one
     carrying b deterministically.  The shorter vector is zero-padded.
@@ -175,26 +169,12 @@ def is_majorized_by(a, b, *, tol: float = ATOL) -> bool:
     for x, y in zip(pa, pb):
         run_a += x
         run_b += y
-        if run_a > run_b + tol:
+        if run_a > run_b + ATOL:
             return False
     return True
 
 
-def classify(a, b, *, tol: float = ATOL) -> Verdict:
-    """Four-way convertibility verdict for a pair of Schmidt vectors."""
-    forward = is_majorized_by(a, b, tol=tol)
-    backward = is_majorized_by(b, a, tol=tol)
-    if forward and backward:
-        return Verdict.EQUIVALENT
-    if forward:
-        return Verdict.FORWARD_ONLY
-    if backward:
-        return Verdict.BACKWARD_ONLY
-    return Verdict.INCOMPARABLE
-
-
-# Row-wise verdict codes index this tuple: 2 * (forward blocked) +
-# (backward blocked).
+# Verdict codes index this tuple: 2 * (forward blocked) + (backward blocked).
 VERDICTS = (
     Verdict.EQUIVALENT,
     Verdict.FORWARD_ONLY,
@@ -203,19 +183,24 @@ VERDICTS = (
 )
 
 
-def majorized_rows(a, b, *, tol: float = ATOL) -> np.ndarray:
+def classify(a, b) -> Verdict:
+    """Four-way convertibility verdict for a pair of Schmidt vectors."""
+    return VERDICTS[2 * (not is_majorized_by(a, b)) + (not is_majorized_by(b, a))]
+
+
+def majorized_rows(a, b) -> np.ndarray:
     """is_majorized_by for each row pair of two (n, k) arrays of weights.
 
     The running sums are cumsum rows, accumulated left to right as the
     scalar loop does, so every comparison sees the same doubles.
     """
-    return ~(np.cumsum(a, axis=1) > np.cumsum(b, axis=1) + tol).any(axis=1)
+    return ~(np.cumsum(a, axis=1) > np.cumsum(b, axis=1) + ATOL).any(axis=1)
 
 
-def classify_rows(a, b, *, tol: float = ATOL) -> np.ndarray:
+def classify_rows(a, b) -> np.ndarray:
     """classify for each row pair, as (n,) integer codes into VERDICTS."""
-    forward_blocked = ~majorized_rows(a, b, tol=tol)
-    backward_blocked = ~majorized_rows(b, a, tol=tol)
+    forward_blocked = ~majorized_rows(a, b)
+    backward_blocked = ~majorized_rows(b, a)
     return 2 * forward_blocked.astype(np.int64) + backward_blocked
 
 

@@ -61,8 +61,14 @@ class PairReport:
     verdict: Verdict
     entropy_initial: float
     entropy_final: float
-    forward_blocked: bool
-    backward_blocked: bool
+
+    @property
+    def forward_blocked(self) -> bool:
+        return VERDICTS.index(self.verdict) >= 2
+
+    @property
+    def backward_blocked(self) -> bool:
+        return VERDICTS.index(self.verdict) % 2 == 1
 
     @property
     def paper_claim_upheld(self) -> bool:
@@ -111,49 +117,38 @@ class WitnessBlock:
                 verdict=VERDICTS[code],
                 entropy_initial=ent_i,
                 entropy_final=ent_f,
-                forward_blocked=fwd,
-                backward_blocked=bwd,
             )
-            for alpha, li, lf, code, ent_i, ent_f, fwd, bwd in zip(
+            for alpha, li, lf, code, ent_i, ent_f in zip(
                 self.alphas,
                 self.initial.tolist(),
                 self.final.tolist(),
                 self.codes.tolist(),
                 self.entropy_initial.tolist(),
                 self.entropy_final.tolist(),
-                self.forward_blocked.tolist(),
-                self.backward_blocked.tolist(),
             )
         ]
 
 
-def classify_construction(alpha, *, cross_check: bool = True) -> PairReport:
+def classify_construction(alpha) -> PairReport:
     """Full convertibility report for the witness pair at one overlap.
 
-    The verdict comes from the closed-form spectra; with cross_check the
-    numeric route (expand the words to amplitudes, take the singular values
-    of the 3 x dim_b amplitude matrix) must yield the same verdict or
+    The verdict comes from the closed-form spectra; the numeric route
+    (expand the words to amplitudes, take the singular values of the
+    3 x dim_b amplitude matrix) must yield the same verdict or
     InternalInconsistencyError is raised.
     """
-    return classify_constructions([alpha], cross_check=cross_check)[0]
+    return classify_block([alpha]).reports()[0]
 
 
-def classify_constructions(alphas, *, cross_check: bool = True) -> list:
-    """Reports for a list of overlaps, in order: classify_block's rows as
-    PairReports."""
-    return classify_block(alphas, cross_check=cross_check).reports()
-
-
-def classify_block(alphas, *, cross_check: bool = True) -> WitnessBlock:
+def classify_block(alphas) -> WitnessBlock:
     """The witness pair at a list of overlaps, classified as one block.
 
-    Each row comes from the closed-form spectra of its overlap alone;
-    with cross_check the whole list then goes through the numeric route
-    as stacked expansions and SVDs (see _cross_check).
+    Each row comes from the closed-form spectra of its overlap alone; the
+    whole list then goes through the numeric route as stacked expansions
+    and SVDs (see _cross_check).
     """
     block = _witness_block(alphas)
-    if cross_check:
-        _cross_check(block.alphas, block.codes)
+    _cross_check(block.alphas, block.codes)
     return block
 
 
@@ -261,7 +256,7 @@ def grid(alpha_min: float, alpha_max: float, steps: int) -> list:
 
 def sweep(alpha_min: float, alpha_max: float, steps: int) -> list:
     """Reports on a uniform inclusive grid, ordered by alpha."""
-    return classify_constructions(grid(alpha_min, alpha_max, steps))
+    return classify_block(grid(alpha_min, alpha_max, steps)).reports()
 
 
 def find_threshold(lo: float, hi: float, tol: float) -> ThresholdResult:
@@ -317,7 +312,7 @@ def find_threshold(lo: float, hi: float, tol: float) -> ThresholdResult:
 
 def no_deleting_check(alpha) -> bool:
     """True when the backward (deletion-direction) conversion is blocked."""
-    return classify_construction(alpha, cross_check=False).backward_blocked
+    return classify_construction(alpha).backward_blocked
 
 
 REPORT_FIELDS = (

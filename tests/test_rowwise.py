@@ -11,6 +11,7 @@ and entanglement_entropy give for one pair, including on the edge of the
 from __future__ import annotations
 
 import importlib
+import math
 import re
 
 import numpy as np
@@ -25,6 +26,7 @@ from locc_audit import (
     is_majorized_by,
     witness_amplitudes,
 )
+from locc_audit import cli
 from locc_audit.majorization import (
     ATOL,
     VERDICTS,
@@ -32,11 +34,11 @@ from locc_audit.majorization import (
     entropy_rows,
     majorized_rows,
     schmidt_rows,
-    schmidt_vectors,
     schmidt_weights,
 )
 
 sweep_module = importlib.import_module("locc_audit.sweep")
+majorization_module = importlib.import_module("locc_audit.majorization")
 
 # tolerance-edge and band overlaps named in the project's history
 EDGE_ALPHAS = [8e-6, 0.5271653750094808, 0.9999995]
@@ -113,8 +115,48 @@ def test_schmidt_weights_are_schmidt_vectors():
         stacks.append(amps)
     for amps in stacks:
         amps = amps / np.linalg.norm(amps.reshape(len(amps), -1), axis=1)[:, None, None]
-        probs = [sv.probs for sv in schmidt_vectors(amps)]
+        rows = majorization_module._svd_weights(amps).tolist()
+        probs = [SchmidtVector.from_values(w).probs for w in rows]
         assert _bits(schmidt_weights(amps)) == _bits(probs)
+
+
+# Each triple's left-to-right sum and its exactly rounded sum fall on
+# opposite sides of the 1e-10 gate.
+GATE_SPLIT_TRIPLES = [
+    [0.11654222512878631, 0.09234661661639372, 0.79111115815482],
+    [0.41788255195993484, 0.17310682716202136, 0.40901062077804384],
+    [0.41878898783128643, 0.2225817290609734, 0.35862928320774007],
+]
+
+
+def _outcome(check, values):
+    try:
+        return tuple(check(values))
+    except ValueError as exc:
+        return str(exc)
+
+
+def _from_values(values):
+    return SchmidtVector.from_values(values).probs
+
+
+def _row_values(values):
+    return schmidt_rows([values])[0].tolist()
+
+
+def test_sums_run_left_to_right_whatever_builtin_sum_does(monkeypatch, capsys):
+    # Python 3.12's sum() of floats is compensated; shadowing sum with
+    # math.fsum must change neither the gate nor any printed weight.
+    argv = ["analyze", "--schmidt-a", "0.6,0.3,0.1", "--schmidt-b", "1"]
+    assert cli.main(argv) == 0
+    expected_cli = capsys.readouterr().out
+    expected = [_outcome(_row_values, v) for v in GATE_SPLIT_TRIPLES]
+    assert [_outcome(_from_values, v) for v in GATE_SPLIT_TRIPLES] == expected
+    for module in (cli, majorization_module):
+        monkeypatch.setattr(module, "sum", math.fsum, raising=False)
+    assert [_outcome(_from_values, v) for v in GATE_SPLIT_TRIPLES] == expected
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected_cli
 
 
 def _triples(seed: int, n: int) -> list:

@@ -18,8 +18,8 @@ from locc_audit import (
     Verdict,
     apply_cloner,
     build_initial,
+    classify_block,
     classify_construction,
-    classify_constructions,
     expand,
     find_threshold,
     grid,
@@ -72,18 +72,13 @@ class TestClassifyConstruction:
 
     def test_first_bad_overlap_in_list_order_is_named(self):
         with pytest.raises(DegenerateOverlapError, match="alpha=1.0 is degenerate"):
-            classify_constructions([0.5, 1.0, 1.5])
+            classify_block([0.5, 1.0, 1.5])
         with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\], got 1.5"):
-            classify_constructions([0.5, 1.5, 0.0])
+            classify_block([0.5, 1.5, 0.0])
 
     def test_overlaps_may_come_from_an_iterator(self):
         alphas = [0.2, Fraction(1, 2), 0.9]
-        assert classify_constructions(iter(alphas)) == classify_constructions(alphas)
-
-    def test_cross_check_can_be_disabled(self):
-        a = classify_construction(0.8, cross_check=False)
-        b = classify_construction(0.8)
-        assert a == b
+        assert classify_block(iter(alphas)).reports() == classify_block(alphas).reports()
 
 
 class TestSweep:
@@ -256,6 +251,12 @@ class TestCrossCheck:
         argv = ["threshold", "--lo", "0.3", "--hi", "0.9", "--tol", "1e-8"]
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_no_deleting_check_is_cross_checked(self, monkeypatch):
+        self.corrupt_closed_form_at(monkeypatch, {0.5})
+        message = self.expected_error(0.5, "ForwardOnly")
+        with pytest.raises(InternalInconsistencyError, match=re.escape(message)):
+            no_deleting_check(0.5)
 
     def test_stacked_route_is_bit_identical_to_one_state_route(self):
         # 0.5271653750094808 sits on the tolerance edge, where the two
