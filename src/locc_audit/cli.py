@@ -18,7 +18,6 @@ import numpy as np
 
 from .construction import (
     BLANK_CHOICES,
-    DegenerateOverlapError,
     QubitSpec,
     apply_cloner,
     build_initial,
@@ -38,7 +37,6 @@ from .sweep import (
     REPORT_FIELDS,
     InternalInconsistencyError,
     NonMonotoneBoundaryError,
-    SweepRangeError,
     classify_block,
     find_threshold,
     grid,
@@ -59,16 +57,43 @@ class WriteFailure(OSError):
     pass
 
 
-# 17 significant digits: enough to round-trip a double exactly
-_FLOAT_SPEC = ".17g"
+# The output layer: every subcommand writes its records through _template
+# and its number lists through _vector, so one spec decides every number:
+# 17 significant digits, enough to round-trip a double exactly.
+_NUMBER = ".17g"
+# How a field's value is written: numbers in _NUMBER; strings (plain
+# identifiers such as verdict names) as given in CSV and quoted in JSON;
+# pre-rendered values (vectors, flags, counts) as given.
+_CSV_CELLS = {"number": "{:" + _NUMBER + "}", "string": "{}", "value": "{}"}
+_JSON_CELLS = dict(_CSV_CELLS, string='"{}"')
 
 
-def _fmt(x) -> str:
-    return format(float(x), _FLOAT_SPEC)
+def _template(fields, kinds, fmt: str) -> str:
+    """One str.format template for a record of `fields`: a CSV line, or a
+    JSON object on one line (a JSON array when fields is None), with each
+    field written as its kind says."""
+    if fmt == "csv":
+        return ",".join(_CSV_CELLS[kind] for kind in kinds)
+    cells = [_JSON_CELLS[kind] for kind in kinds]
+    if fields is None:
+        return _array(cells, "json")
+    return "{{" + ", ".join(f'"{f}": {c}' for f, c in zip(fields, cells)) + "}}"
 
 
-def _json_vector(values) -> str:
-    return "[" + ", ".join(_fmt(v) for v in values) + "]"
+def _array(cells, fmt: str) -> str:
+    """Rendered cells as one CSV cell (a;b) or one JSON array ([a, b])."""
+    return "[" + ", ".join(cells) + "]" if fmt == "json" else ";".join(cells)
+
+
+def _vector(values, fmt: str) -> str:
+    """A list of numbers as one CSV cell (a;b) or one JSON array ([a, b])."""
+    return _array([format(v, _NUMBER) for v in values], fmt)
+
+
+def _write(fields, kinds, fmt: str, *values) -> None:
+    """One record on stdout; in CSV under its header line."""
+    head = ",".join(fields) + "\n" if fmt == "csv" else ""
+    sys.stdout.write(head + _template(fields, kinds, fmt).format(*values) + "\n")
 
 
 def parse_inline_schmidt(text: str) -> SchmidtVector:
@@ -98,9 +123,10 @@ def load_state_file(path: str) -> PureState:
     """Read a StateFile JSON document into a PureState.
 
     Schema: {"dims": [dA, dB], "amps": [[i, j, re, im], ...]} with 0-based
-    indices.  Duplicate or out-of-range indices, and dims declaring more
-    than MAX_AMPLITUDES amplitudes, are malformed input; a norm outside
-    the 1e-6 gate is a normalization failure.
+    indices.  Dims or indices that are not JSON integers (a float, a bool
+    or a string), duplicate or out-of-range indices, and dims declaring
+    more than MAX_AMPLITUDES amplitudes, are malformed input; a norm
+    outside the 1e-6 gate is a normalization failure.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -122,24 +148,30 @@ def load_state_file(path: str) -> PureState:
             f"{path}: dims {dim_a}x{dim_b} exceed the limit of "
             f"{MAX_AMPLITUDES} amplitudes"
         )
+    # int() read 2.9 as 2, true as 1 and "2" as 2; checked after the limits
+    # (and indices after range and duplicates) so what those reject reads as before
+    if not all(type(d) is int for d in data["dims"]):
+        raise CliInputError(f"{path}: dims must be integers, got {data['dims']!r}")
 
-    vec = np.zeros(dim_a * dim_b, dtype=np.complex128)
-    seen = set()
     if not isinstance(entries, list):
         raise CliInputError(f"{path}: amps must be a list")
+    amps = {}  # flat index -> amplitude
     for entry in entries:
         try:
-            i, j, re, im = entry
-            i, j = int(i), int(j)
-            re, im = float(re), float(im)
+            raw_i, raw_j, re, im = entry
+            i, j = int(raw_i), int(raw_j)
+            amp = complex(float(re), float(im))
         except (TypeError, ValueError) as exc:
             raise CliInputError(f"{path}: bad amplitude entry {entry!r}: {exc}") from None
         if not (0 <= i < dim_a and 0 <= j < dim_b):
             raise CliInputError(f"{path}: index ({i}, {j}) out of range")
-        if (i, j) in seen:
+        if i * dim_b + j in amps:
             raise CliInputError(f"{path}: duplicate index ({i}, {j})")
-        seen.add((i, j))
-        vec[i * dim_b + j] = complex(re, im)
+        if type(raw_i) is not int or type(raw_j) is not int:
+            raise CliInputError(f"{path}: indices must be integers, got {entry!r}")
+        amps[i * dim_b + j] = amp
+    vec = np.zeros(dim_a * dim_b, dtype=np.complex128)
+    vec[list(amps)] = list(amps.values())
     return PureState(dim_a, dim_b, vec)  # raises NotNormalizedError beyond gate
 
 
@@ -149,34 +181,23 @@ def _schmidt_side(path, inline) -> SchmidtVector:
     return parse_inline_schmidt(inline)
 
 
+ANALYZE_FIELDS = ("verdict", "schmidt_a", "schmidt_b", "entropy_a", "entropy_b")
+THRESHOLD_FIELDS = ("alpha_star", "bracket", "verdict_below", "verdict_above",
+                    "grid_sign_changes")
+AMP_FIELDS = ("i", "j", "re", "im")
+# the kinds of REPORT_FIELDS: alpha and the spectra, verdict, entropies, flags
+REPORT_KINDS = ("number",) * 7 + ("string",) + ("number",) * 2 + ("value",) * 3
+
+
 def cmd_analyze(args) -> int:
     sv_a = _schmidt_side(args.psi, args.schmidt_a)
     sv_b = _schmidt_side(args.phi, args.schmidt_b)
-    verdict = classify(sv_a, sv_b)
-    ent_a = entanglement_entropy(sv_a)
-    ent_b = entanglement_entropy(sv_b)
-    if args.format == "json":
-        body = ", ".join(
-            [
-                f'"verdict": {json.dumps(str(verdict))}',
-                f'"schmidt_a": {_json_vector(sv_a.probs)}',
-                f'"schmidt_b": {_json_vector(sv_b.probs)}',
-                f'"entropy_a": {_fmt(ent_a)}',
-                f'"entropy_b": {_fmt(ent_b)}',
-            ]
-        )
-        sys.stdout.write("{" + body + "}\n")
-    else:
-        row = [
-            str(verdict),
-            ";".join(_fmt(p) for p in sv_a.probs),
-            ";".join(_fmt(p) for p in sv_b.probs),
-            _fmt(ent_a),
-            _fmt(ent_b),
-        ]
-        sys.stdout.write(
-            "verdict,schmidt_a,schmidt_b,entropy_a,entropy_b\n" + ",".join(row) + "\n"
-        )
+    _write(
+        ANALYZE_FIELDS, ("string", "value", "value", "number", "number"), args.format,
+        str(classify(sv_a, sv_b)), _vector(sv_a.probs, args.format),
+        _vector(sv_b.probs, args.format),
+        entanglement_entropy(sv_a), entanglement_entropy(sv_b),
+    )
     return 0
 
 
@@ -185,20 +206,16 @@ def _report_payload(block, fmt: str):
     with the fields of REPORT_FIELDS, formatted straight from its arrays
     and yielded CROSS_CHECK_BLOCK rows at a time.
 
-    Each row goes through one str.format template whose float fields use
-    _fmt's format spec, so every cell reads as _fmt would write it.
+    Every row goes through the one record template of REPORT_FIELDS, built
+    once per call by _template, so every number is written in _NUMBER.
     """
-    number = "{:" + _FLOAT_SPEC + "}"
-    cells = [number] * 7 + ["{}"] + [number] * 2 + ["{}"] * 3
-    verdicts = [str(v) for v in VERDICTS]
+    row = _template(REPORT_FIELDS, REPORT_KINDS, fmt)
     if fmt == "json":
-        verdicts = [json.dumps(v) for v in verdicts]
-        pairs = (f'"{key}": {cell}' for key, cell in zip(REPORT_FIELDS, cells))
-        row = "  {{" + ", ".join(pairs) + "}}"
+        row = "  " + row
         head, sep, tail = "[\n", ",\n", "\n]\n"
     else:
-        row = ",".join(cells)
         head, sep, tail = ",".join(REPORT_FIELDS) + "\n", "\n", "\n"
+    verdicts = [str(v) for v in VERDICTS]
     flag = ("false", "true")
     incomparable = VERDICTS.index(Verdict.INCOMPARABLE)
     yield head
@@ -240,29 +257,24 @@ def cmd_paper_verify(args) -> int:
         sys.stdout.writelines(payload)
         summary_stream = sys.stderr
 
-    verdicts = [VERDICTS[code] for code in block.codes.tolist()]
-    n_inc = verdicts.count(Verdict.INCOMPARABLE)
-    n_fwd = verdicts.count(Verdict.FORWARD_ONLY)
-    universal = bool(block.backward_blocked.all())
+    # codes index VERDICTS: 1 is ForwardOnly, 3 Incomparable
+    counts = np.bincount(block.codes, minlength=len(VERDICTS)).tolist()
+    universal = "true" if block.backward_blocked.all() else "false"
     summary_stream.write(
-        f"rows={len(verdicts)} incomparable={n_inc} forward_only={n_fwd} "
-        f"no_deleting_universal={'true' if universal else 'false'}\n"
+        f"rows={len(block.codes)} incomparable={counts[3]} forward_only={counts[1]} "
+        f"no_deleting_universal={universal}\n"
     )
     return 0
 
 
 def cmd_threshold(args) -> int:
     result = find_threshold(args.lo, args.hi, args.tol)
-    body = ", ".join(
-        [
-            f'"alpha_star": {_fmt(result.alpha_star)}',
-            f'"bracket": [{_fmt(result.bracket[0])}, {_fmt(result.bracket[1])}]',
-            f'"verdict_below": {json.dumps(str(result.verdict_below))}',
-            f'"verdict_above": {json.dumps(str(result.verdict_above))}',
-            f'"grid_sign_changes": {result.grid_sign_changes}',
-        ]
+    _write(
+        THRESHOLD_FIELDS, ("number", "value", "string", "string", "value"), "json",
+        result.alpha_star, _vector(result.bracket, "json"),
+        str(result.verdict_below), str(result.verdict_above),
+        result.grid_sign_changes,
     )
-    sys.stdout.write("{" + body + "}\n")
     return 0
 
 
@@ -271,31 +283,23 @@ def cmd_show_state(args) -> int:
     state = pre if args.which == "initial" else apply_cloner(pre)
     psi = expand(state, args.blank)
     sv = schmidt_vector(psi)
-    amps = []
-    for idx, amp in enumerate(psi.amps):
-        if amp == 0:
-            continue
-        amps.append((idx // psi.dim_b, idx % psi.dim_b, amp.real, amp.imag))
+    nonzero = np.flatnonzero(psi.amps)
+    i, j = np.divmod(nonzero, psi.dim_b)
+    values = psi.amps[nonzero]
+    amps = zip(i.tolist(), j.tolist(), values.real.tolist(), values.imag.tolist())
+    # JSON writes each amplitude as an array [i, j, re, im], CSV as a line
+    fields = None if args.format == "json" else AMP_FIELDS
+    row = _template(fields, ("value", "value", "number", "number"), args.format)
+    rows = [row.format(*amp) for amp in amps]
     if args.format == "json":
-        rows = ", ".join(
-            f"[{i}, {j}, {_fmt(re)}, {_fmt(im)}]" for i, j, re, im in amps
+        _write(
+            ("dims", "amps", "schmidt"), ("value",) * 3, "json",
+            _vector((psi.dim_a, psi.dim_b), "json"), _array(rows, "json"),
+            _vector(sv.probs, "json"),
         )
-        body = ", ".join(
-            [
-                f'"dims": [{psi.dim_a}, {psi.dim_b}]',
-                f'"amps": [{rows}]',
-                f'"schmidt": {_json_vector(sv.probs)}',
-            ]
-        )
-        sys.stdout.write("{" + body + "}\n")
     else:
-        sys.stdout.writelines(
-            ["i,j,re,im\n"]
-            + [f"{i},{j},{_fmt(re)},{_fmt(im)}\n" for i, j, re, im in amps]
-        )
-        sys.stderr.write(
-            "schmidt=" + ";".join(_fmt(p) for p in sv.probs) + "\n"
-        )
+        sys.stdout.write("\n".join([",".join(AMP_FIELDS), *rows]) + "\n")
+        sys.stderr.write("schmidt=" + _vector(sv.probs, "csv") + "\n")
     return 0
 
 
@@ -348,26 +352,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code of each failure (module docstring); the first match decides.
+EXIT_CODES = (
+    (NotNormalizedError, 3),
+    (ValueError, 2),  # CliInputError, SweepRangeError, DegenerateOverlapError
+    (WriteFailure, 4),
+    (NonMonotoneBoundaryError, 5),
+    (InternalInconsistencyError, 1),
+)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NotNormalizedError as exc:
+    except tuple(types for types, _ in EXIT_CODES) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except (CliInputError, SweepRangeError, DegenerateOverlapError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except WriteFailure as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 4
-    except NonMonotoneBoundaryError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 5
-    except InternalInconsistencyError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+        return next(code for types, code in EXIT_CODES if isinstance(exc, types))
 
 
 if __name__ == "__main__":

@@ -145,6 +145,26 @@ class TestStateFileValidation:
         path.write_text(json.dumps({"amps": [[0, 0, 1.0, 0.0]]}))
         assert main(["analyze", "--psi", str(path), "--schmidt-b", "1,0"]) == 2
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"dims": [2.9, 2], "amps": [[0, 0, 1, 0]]}',
+            '{"dims": [2, 2], "amps": [[0, 1.6, 1, 0]]}',
+            '{"dims": [true, 2], "amps": [[0, 0, 1, 0]]}',
+            '{"dims": ["2", "2"], "amps": [[0, 0, 1, 0]]}',
+        ],
+        ids=["float-dim", "float-index", "bool-dim", "string-dims"],
+    )
+    def test_non_integer_dims_or_index_exit_2(self, doc, tmp_path, capsys):
+        # int() would read these as 2, 1, 1 and 2: a valid state of another shape
+        path = tmp_path / "state.json"
+        path.write_text(doc)
+        capsys.readouterr()
+        assert main(["analyze", "--psi", str(path), "--schmidt-b", "1,0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be integers" in err
+        assert err.count("\n") == 1
+
     def test_norm_violation_exits_3(self, tmp_path):
         path = write_state(
             tmp_path / "short.json", [2, 2], [[0, 0, 0.5, 0], [1, 1, 0.5, 0]]

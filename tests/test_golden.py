@@ -4,16 +4,20 @@ Each case runs the CLI in-process and compares the SHA-256 of its stdout
 (or of one field of it) with a recorded digest.  `paper-verify` and
 `threshold` are built from the closed-form spectra, and the `show-state`
 amplitudes from the symbolic expansion, so neither may move when the
-numeric Schmidt route changes.  The `schmidt` field of
-`show-state` is deliberately not pinned: it comes from a floating-point
-factorization and may differ in the last bit.  Inline `analyze` never
-touches a factorization, so its output is pinned whole, and so are the
+numeric Schmidt route changes.  The numbers of `show-state`'s `schmidt`
+field are deliberately not pinned: they come from a floating-point
+factorization and may differ in the last bit, so only the rest of that
+line, and the shape of the CSV mode's `schmidt=` line, are.  Inline
+`analyze` never touches a factorization, and `analyze` on a product state
+has exact weights, so their outputs are pinned whole, and so are the
 one-line summaries and error messages that go with a report.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import re
 
 import pytest
 
@@ -29,6 +33,9 @@ GOLDEN = {
     ("threshold", "--lo", "0.3", "--hi", "0.9"): (
         "55e64765a827c224a367a1b493bc3d4967914eab7e318f30dd630c1475394722"
     ),
+    ("threshold", "--lo", "0.45", "--hi", "0.6", "--tol", "1e-9"): (
+        "bad5ed02bfa04874e92744bab97909c28cf87a03bea417dba4c830e0685602cf"
+    ),
 }
 
 # analyze on inline weights: an incomparable pair, given unsorted
@@ -36,6 +43,13 @@ ANALYZE_ARGV = ("analyze", "--schmidt-a", "0.1,0.5,0.4", "--schmidt-b", "0.2,0.6
 GOLDEN_ANALYZE = {
     "json": "60e029c162ce93e29737084ccd64af86aee8d7242250fbd89cb4c24100aae666",
     "csv": "8615accd1f062c7aca6cd665937fc4c82e0c6602871c53fc4e3a540e14337f9e",
+}
+
+# analyze --psi on the product state i|1>|2>: its weights are exactly [1, 0]
+PRODUCT_STATE = {"dims": [2, 3], "amps": [[1, 2, 0.0, 1.0]]}
+GOLDEN_ANALYZE_PSI = {
+    "json": "514d2fc728cb84c3309b7aaacd14480bbfb33280fd41500eca20c73fa5394181",
+    "csv": "a2083679abe7a2efcdb48c9778d12a032126e31bcd869789825c1bfc63b97236",
 }
 
 # paper-verify --out: digest of the report file, and the summary on stdout
@@ -56,6 +70,12 @@ GOLDEN_AMPS_CSV = {
 GOLDEN_AMPS = {
     "initial": "5f692fd0ee773df81a97d632e0f22ba8e40ef2b368d1cb4797166c722ef6d66c",
     "final": "317b3be733f2a4eb55e12a2b6261137bbcb7d9bedf4d54a5ef64e47266ba728b",
+}
+
+# show-state JSON: the whole line, with each number of "schmidt" read as #
+GOLDEN_SHOW_STATE = {
+    "initial": "989c8b30523ddc3ea8244adf5d47abccefc84e02a0d259de988f2f8d56136350",
+    "final": "a62e03be3dc5c1c9b5c5b360df0696b55fb61683a3fa5edd1b3b25d0fc815358",
 }
 
 
@@ -81,6 +101,43 @@ def test_show_state_amplitude_bytes(which, capsys):
     amps = out.split('"amps": ', 1)[1].split(', "schmidt": ', 1)[0]
     assert amps.startswith("[[") and amps.endswith("]]")
     assert _digest(amps) == GOLDEN_AMPS[which]
+
+
+def _mask_schmidt(out: str) -> str:
+    head, tail = out.split('"schmidt": ', 1)
+    vector, rest = tail.split("]", 1)
+    return head + '"schmidt": ' + re.sub(r"[^\[, ]+", "#", vector) + "]" + rest
+
+
+@pytest.mark.parametrize("which", sorted(GOLDEN_SHOW_STATE))
+def test_show_state_json_line_bytes(which, capsys):
+    out = _stdout(["show-state", "--alpha", "0.5", "--which", which], capsys)
+    masked = _mask_schmidt(out)
+    assert masked.endswith(', "schmidt": [#, #, #]}\n')
+    assert _digest(masked) == GOLDEN_SHOW_STATE[which]
+
+
+@pytest.mark.parametrize("which", ["initial", "final"])
+def test_show_state_csv_schmidt_line_shape(which, capsys):
+    argv = ["show-state", "--alpha", "0.5", "--which", which, "--format", "csv"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("schmidt=") and err.count("\n") == 1
+    cells = err[len("schmidt="):-1].split(";")
+    assert len(cells) == 3
+    # each weight is written as .17g writes its double
+    assert [format(float(c), ".17g") for c in cells] == cells
+    assert sum(map(float, cells)) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("fmt", sorted(GOLDEN_ANALYZE_PSI))
+def test_analyze_product_state_file_bytes(fmt, tmp_path, capsys):
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps(PRODUCT_STATE))
+    argv = ["analyze", "--psi", str(path), "--schmidt-b", "0.5,0.3,0.2"]
+    out = _stdout(argv + ["--format", fmt], capsys)
+    assert _digest(out) == GOLDEN_ANALYZE_PSI[fmt]
 
 
 @pytest.mark.parametrize("fmt", sorted(GOLDEN_ANALYZE))
