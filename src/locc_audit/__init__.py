@@ -23,7 +23,7 @@ from .construction import (
     initial_spectrum_values,
     normalizer,
     raw_expansion,
-    witness_amplitudes,
+    witness_gram,
 )
 from .linalg import (
     ATOL_ITERATIVE,

@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -124,9 +125,10 @@ def load_state_file(path: str) -> PureState:
 
     Schema: {"dims": [dA, dB], "amps": [[i, j, re, im], ...]} with 0-based
     indices.  Dims or indices that are not JSON integers (a float, a bool
-    or a string), duplicate or out-of-range indices, and dims declaring
-    more than MAX_AMPLITUDES amplitudes, are malformed input; a norm
-    outside the 1e-6 gate is a normalization failure.
+    or a string), re or im that are not JSON numbers (a bool or a
+    string), duplicate or out-of-range indices, and dims declaring more
+    than MAX_AMPLITUDES amplitudes, are malformed input; a norm outside
+    the 1e-6 gate is a normalization failure.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -156,11 +158,12 @@ def load_state_file(path: str) -> PureState:
     if not isinstance(entries, list):
         raise CliInputError(f"{path}: amps must be a list")
     amps = {}  # flat index -> amplitude
+    non_numbers = []  # entries whose re or im float() read from a bool or string
     for entry in entries:
         try:
-            raw_i, raw_j, re, im = entry
+            raw_i, raw_j, real, imag = entry
             i, j = int(raw_i), int(raw_j)
-            amp = complex(float(re), float(im))
+            amp = complex(float(real), float(imag))
         except (TypeError, ValueError) as exc:
             raise CliInputError(f"{path}: bad amplitude entry {entry!r}: {exc}") from None
         if not (0 <= i < dim_a and 0 <= j < dim_b):
@@ -169,10 +172,18 @@ def load_state_file(path: str) -> PureState:
             raise CliInputError(f"{path}: duplicate index ({i}, {j})")
         if type(raw_i) is not int or type(raw_j) is not int:
             raise CliInputError(f"{path}: indices must be integers, got {entry!r}")
+        if type(real) not in (int, float) or type(imag) not in (int, float):
+            non_numbers.append(entry)
         amps[i * dim_b + j] = amp
     vec = np.zeros(dim_a * dim_b, dtype=np.complex128)
     vec[list(amps)] = list(amps.values())
-    return PureState(dim_a, dim_b, vec)  # raises NotNormalizedError beyond gate
+    state = PureState(dim_a, dim_b, vec)  # raises NotNormalizedError beyond gate
+    # checked last, so what the checks above reject reads as before
+    if non_numbers:
+        raise CliInputError(
+            f"{path}: amplitudes must be numbers, got {non_numbers[0]!r}"
+        )
+    return state
 
 
 def _schmidt_side(path, inline) -> SchmidtVector:
@@ -324,6 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
     side_b.add_argument("--schmidt-b", help="inline Schmidt weights")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_analyze)
+    # argparse reads a value that starts with "-" as an option unless it
+    # is one negative number; a weight list that starts with a negative
+    # weight must reach parse_inline_schmidt's check instead
+    p._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
     p = sub.add_parser(
         "paper-verify",

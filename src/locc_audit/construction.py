@@ -209,33 +209,25 @@ def blank_state(choice) -> np.ndarray:
 def raw_expansion(state: SymbolicState, blank="zero") -> np.ndarray:
     """Unnormalized numeric amplitudes, row-major in (Alice, Bob) index.
 
-    The n = 1 case of the witness-amplitude builder, on the state's own
-    words and overlap qubit.  The squared norm of the result is the
-    construction normalizer 2(3 - alpha^4) with the blank attached,
-    2(3 - alpha^5) after cloning.
+    Each branch word's vector is the outer product of its symbol vectors,
+    taken left to right over all six words at once; the signed words are
+    then added into the three levels in term order.  The squared norm of
+    the result is the construction normalizer 2(3 - alpha^4) with the
+    blank attached, 2(3 - alpha^5) after cloning.
     """
-    qubit = state.qubit
-    return _expand_words(
-        _word_table(state), [qubit.alpha_float], [qubit.beta], blank_state(blank)
-    ).reshape(-1)
-
-
-def witness_amplitudes(alphas, *, cloned: bool = False) -> np.ndarray:
-    """Unnormalized (n, 3, 32) amplitudes of the witness state at n overlaps.
-
-    Row k is raw_expansion of build_initial(QubitSpec(alphas[k])), or of
-    its cloned image when cloned is true, with the zero blank, bit for
-    bit.  Every overlap must lie strictly inside (0, 1).
-    """
-    a = np.array([float(x) for x in alphas], dtype=np.float64)
-    interior = (a > 0.0) & (a < 1.0)
-    if not interior.all():
-        bad = a[np.argmin(interior)]
-        raise DegenerateOverlapError(
-            f"overlap alpha={bad} is degenerate: need 0 < alpha < 1"
-        )
-    beta = np.sqrt(np.maximum(0.0, 1.0 - a * a))  # as QubitSpec derives it
-    return _expand_words(_WITNESS_TABLES[bool(cloned)], a, beta, blank_state("zero"))
+    symbols = np.empty((3, 2), dtype=np.complex128)  # Z, P, blank
+    symbols[0] = (1.0, 0.0)
+    symbols[1] = (state.qubit.alpha_float, state.qubit.beta)
+    symbols[_BLANK_CODE] = blank_state(blank)
+    table = _word_table(state)
+    factors = symbols[table]  # (6, L, 2)
+    words = factors[:, 0]
+    for k in range(1, table.shape[1]):
+        words = (words[..., None] * factors[:, None, k]).reshape(6, 2 ** (k + 1))
+    amps = np.zeros((3, words.shape[-1]), dtype=np.complex128)
+    for j, (level, sign) in enumerate(zip(_LEVEL_PATTERN, _SIGN_PATTERN)):
+        amps[level - 1] += sign * words[j]
+    return amps.reshape(-1)
 
 
 _BLANK_CODE = 2
@@ -248,31 +240,6 @@ def _word_table(state: SymbolicState) -> np.ndarray:
     return np.array([[_SYMBOL_CODES[c] for c in t.word] + tail for t in state.terms])
 
 
-def _expand_words(table, alphas, betas, blank) -> np.ndarray:
-    """Signed word sums per Alice level, for n overlaps in one broadcast pass.
-
-    Each branch word's vector is the outer product of its symbol vectors,
-    taken left to right over all words and overlaps at once; the six
-    signed words are then added into the three levels in term order.
-    Returns shape (n, 3, 2**L).
-    """
-    n = len(alphas)
-    symbols = np.empty((n, 3, 2), dtype=np.complex128)  # Z, P, blank per overlap
-    symbols[:, 0] = (1.0, 0.0)
-    symbols[:, 1, 0] = alphas
-    symbols[:, 1, 1] = betas
-    symbols[:, _BLANK_CODE] = blank
-    factors = symbols[:, table]  # (n, 6, L, 2)
-    words = factors[:, :, 0]
-    for k in range(1, table.shape[1]):
-        words = words[..., None] * factors[:, :, None, k]
-        words = words.reshape(n, 6, 2 ** (k + 1))
-    amps = np.zeros((n, 3, words.shape[-1]), dtype=np.complex128)
-    for j, (level, sign) in enumerate(zip(_LEVEL_PATTERN, _SIGN_PATTERN)):
-        amps[:, level - 1] += sign * words[:, j]
-    return amps
-
-
 def expand(state: SymbolicState, blank="zero") -> PureState:
     """Numeric 3 x 32 pure state realizing the symbolic construction."""
     raw = raw_expansion(state, blank)
@@ -280,32 +247,54 @@ def expand(state: SymbolicState, blank="zero") -> PureState:
     return PureState(3, dim_b, raw / np.linalg.norm(raw))
 
 
-def _word_overlap(u: str, t: str, alpha):
-    """<u|t> for branch words: alpha to the number of differing positions."""
-    ndiff = sum(1 for x, y in zip(u, t) if x != y)
-    return alpha**ndiff
+def _gram_tensor(state: SymbolicState) -> np.ndarray:
+    """Integer (L + 1, 3, 3) tensor C of the branch words, L their length.
+
+    Two words overlap by alpha to the number of places where they differ,
+    so C[d, j, k] sums the sign products of the level j + 1 and level k + 1
+    word pairs that differ in d places, and the branch Gram matrix is the
+    sum over d of alpha^d C[d].  The blank is shared by every word and
+    drops out.
+    """
+    tensor = np.zeros((state.word_length + 1, 3, 3), dtype=np.int64)
+    for t in state.terms:
+        for u in state.terms:
+            d = sum(x != y for x, y in zip(t.word, u.word))
+            tensor[d, t.alice_level - 1, u.alice_level - 1] += t.sign * u.sign
+    return tensor
+
+
+def _gram_sum(tensor, alpha):
+    """The sum over d of alpha^d tensor[d], in the arithmetic of alpha:
+    exact for a Fraction, one matrix per overlap for an (n, 1, 1) array.
+    The powers are running products, so an overlap gives the same doubles
+    alone or stacked."""
+    gram, power = 0, 1
+    for c in tensor:
+        gram = gram + power * c
+        power = power * alpha
+    return gram
 
 
 def branch_gram(state: SymbolicState):
     """Unnormalized 3x3 Gram matrix of the level branch vectors.
 
-    Entry [j][k] is <B_k|B_j> expanded through the word overlaps, so it is
-    exact (Fraction-valued) whenever the overlap alpha is a Fraction.  The
-    shared blank qubit drops out of every inner product.
+    Entry [j][k] is <B_k|B_j>, the word-overlap tensor of the state
+    evaluated at its overlap, so it is exact (Fraction-valued) whenever
+    the overlap alpha is a Fraction.
     """
-    alpha = state.qubit.alpha
-    by_level = {1: [], 2: [], 3: []}
-    for t in state.terms:
-        by_level[t.alice_level].append(t)
-    gram = [[0 for _ in range(3)] for _ in range(3)]
-    for j in range(3):
-        for k in range(3):
-            acc = 0
-            for t in by_level[j + 1]:
-                for u in by_level[k + 1]:
-                    acc += t.sign * u.sign * _word_overlap(u.word, t.word, alpha)
-            gram[j][k] = acc
-    return gram
+    return _gram_sum(_gram_tensor(state), state.qubit.alpha).tolist()
+
+
+def witness_gram(alphas, *, cloned: bool = False) -> np.ndarray:
+    """Unnormalized (n, 3, 3) branch Gram matrices of the witness state.
+
+    Row k is branch_gram of build_initial(QubitSpec(alphas[k])), or of its
+    cloned image when cloned is true, as doubles, bit for bit.  The
+    overlaps are not checked.
+    """
+    a = np.asarray(alphas, dtype=np.float64).reshape(-1, 1, 1)
+    return _gram_sum(_WITNESS_GRAMS[bool(cloned)], a)
 
 
 def normalizer(state: SymbolicState):
@@ -315,18 +304,15 @@ def normalizer(state: SymbolicState):
 
 
 def gram_reduced_density(state: SymbolicState) -> DensityMatrix:
-    """Alice's reduced density matrix from symbolic overlaps alone.
+    """Alice's reduced density matrix from symbolic overlaps alone: the
+    branch Gram matrix over its trace.
 
     Matches partial_trace_b of the numeric expansion within 1e-12 for any
-    blank choice.
+    blank choice, since the blank drops out of every overlap.
     """
-    gram = branch_gram(state)
     norm = normalizer(state)
-    entries = np.array(
-        [[float(gram[j][k] / norm) for k in range(3)] for j in range(3)],
-        dtype=np.complex128,
-    )
-    return DensityMatrix(3, entries)
+    entries = [[float(g / norm) for g in row] for row in branch_gram(state)]
+    return DensityMatrix(3, np.array(entries, dtype=np.complex128))
 
 
 def initial_spectrum_values(alpha):
@@ -378,10 +364,10 @@ def _require_interior(qubit: QubitSpec):
         )
 
 
-# Word tables of the witness pair, taken from the symbolic machines once:
-# the words do not depend on the overlap, so any interior one serves.
+# Word-overlap tensors of the witness pair, read from the symbolic machines
+# once: the words do not depend on the overlap, so any interior one serves.
 _WITNESS_PRE = build_initial(QubitSpec(0.5))
-_WITNESS_TABLES = {
-    False: _word_table(_WITNESS_PRE),
-    True: _word_table(apply_cloner(_WITNESS_PRE)),
+_WITNESS_GRAMS = {
+    False: _gram_tensor(_WITNESS_PRE),
+    True: _gram_tensor(apply_cloner(_WITNESS_PRE)),
 }

@@ -59,7 +59,8 @@ class PureState:
             raise ShapeError(
                 f"expected {self.dim_a * self.dim_b} amplitudes, got {self.amps.size}"
             )
-        norm = float(np.linalg.norm(self.amps))
+        with np.errstate(over="ignore"):  # an overflowing norm reads as inf
+            norm = float(np.linalg.norm(self.amps))
         if abs(norm - 1.0) > NORM_GATE:
             raise NotNormalizedError(f"state norm {norm} is outside the 1e-6 gate")
         self.amps = self.amps / norm

@@ -84,12 +84,6 @@ def schmidt_vector(state: PureState) -> SchmidtVector:
     return SchmidtVector.from_values(_svd_weights(amps)[0].tolist())
 
 
-def schmidt_weights(amps) -> np.ndarray:
-    """Schmidt weights of a stack of unit-norm (n, dim_a, dim_b) amplitude
-    matrices: one stacked SVD, each row checked by schmidt_rows."""
-    return schmidt_rows(_svd_weights(amps))
-
-
 def _svd_weights(amps) -> np.ndarray:
     s = np.linalg.svd(amps, compute_uv=False)
     weights = s * s
@@ -144,8 +138,8 @@ def entropy_rows(values) -> np.ndarray:
     """
     vals = np.asarray(values, dtype=np.float64)
     kept = vals > _ZERO_CLAMP
-    flat = np.where(kept, vals, 1.0).ravel().tolist()
-    logs = np.array(list(map(math.log2, flat))).reshape(vals.shape)
+    flat = np.where(kept, vals, 1.0).ravel()
+    logs = np.fromiter(map(math.log2, flat), np.float64, flat.size).reshape(vals.shape)
     terms = np.where(kept, vals * logs, 0.0)
     total = np.zeros(len(vals))
     for column in terms.T:

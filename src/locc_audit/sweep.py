@@ -19,9 +19,8 @@ from .construction import (
     closed_form_initial_spectrum,
     final_spectrum_values,
     initial_spectrum_values,
-    witness_amplitudes,
+    witness_gram,
 )
-from .linalg import NORM_GATE, NotNormalizedError
 from .majorization import (
     VERDICTS,
     SchmidtVector,
@@ -30,18 +29,17 @@ from .majorization import (
     classify_rows,
     entropy_rows,
     schmidt_rows,
-    schmidt_weights,
 )
 
 SCAN_POINTS = 64
 # Largest grid a sweep accepts; checked before the grid is allocated.
 MAX_STEPS = 1 << 20
-# Overlaps cross-checked per stacked expansion and SVD: bounds the
-# temporaries to a few MB whatever the grid size.
+# Overlaps cross-checked per stack of Gram matrices: bounds the
+# temporaries whatever the grid size.
 CROSS_CHECK_BLOCK = 1024
 # Largest gap the cross-check allows between a closed-form weight and the
 # numeric route's.  Over 210,000 alphas from 1e-320 to 1 - 1e-16 the gap
-# peaks at 7.4e-15 (near alpha = 1.5e-7): a margin above 100.
+# peaks at 4.4e-16 (near alpha = 0.98): a margin above 1000.
 ROUTE_GAP = 1e-12
 
 
@@ -54,7 +52,7 @@ class NonMonotoneBoundaryError(RuntimeError):
 
 
 class InternalInconsistencyError(RuntimeError):
-    """Closed-form and numeric-expansion weights differ beyond ROUTE_GAP."""
+    """Closed-form and branch-Gram weights differ beyond ROUTE_GAP."""
 
 
 @dataclass(frozen=True)
@@ -137,8 +135,8 @@ def classify_construction(alpha) -> PairReport:
     """Full convertibility report for the witness pair at one overlap.
 
     The verdict comes from the closed-form spectra; the numeric route
-    (expand the words to amplitudes, take the singular values of the
-    3 x dim_b amplitude matrix) must give the same weights within
+    (the eigenvalues of Alice's 3 x 3 branch Gram matrix, read from the
+    machines' words, over their sum) must give the same weights within
     ROUTE_GAP or InternalInconsistencyError is raised.
     """
     return classify_block([alpha]).reports()[0]
@@ -148,8 +146,8 @@ def classify_block(alphas) -> WitnessBlock:
     """The witness pair at a list of overlaps, classified as one block.
 
     Each row comes from the closed-form spectra of its overlap alone; the
-    whole list then goes through the numeric route as stacked expansions
-    and SVDs (see _cross_check).
+    whole list then goes through the numeric route as stacked Gram
+    matrices (see _cross_check).
     """
     block = _witness_block(alphas)
     _cross_check(block.alphas, block.initial, block.final)
@@ -185,14 +183,14 @@ def _witness_block(alphas) -> WitnessBlock:
 
 
 def _spectrum_rows(values, alphas) -> np.ndarray:
-    rows = np.array([values(a) for a in alphas], dtype=np.float64)
-    return schmidt_rows(rows.reshape(len(rows), 3))
+    flat = np.fromiter((v for a in alphas for v in values(a)), np.float64, 3 * len(alphas))
+    return schmidt_rows(flat.reshape(-1, 3))
 
 
 def _cross_check(alphas, initial, final):
     """Recompute every overlap's weights by the numeric route.
 
-    The witness pair is expanded to amplitudes and reduced to Schmidt
+    The witness pair's branch Gram matrices are reduced to Schmidt
     weights for CROSS_CHECK_BLOCK overlaps at a time.  The first overlap,
     in list order, where a descending numeric weight differs from the
     closed-form one (the (n, 3) rows of initial and final) by more than
@@ -217,36 +215,10 @@ def _cross_check(alphas, initial, final):
 
 
 def _numeric_spectra(alphas, *, cloned: bool) -> np.ndarray:
-    """(n, 3) Schmidt weights of the witness state at each overlap.
-
-    Every row is normalized, checked for NaN/Inf and gated at 1e-6 as
-    expand() and PureState do for one state, so each overlap's amplitudes,
-    and with them its weights, are bit for bit those of the one-state route.
-    """
-    raw = witness_amplitudes(alphas, cloned=cloned)
-    rows = raw.reshape(len(alphas), -1)
-    rows = rows / _row_norms(rows)[:, None]
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
-        bad = alphas[int(np.argmin(finite))]
-        raise ValueError(f"alpha={bad}: amps contains NaN or Inf entries")
-    norms = _row_norms(rows)
-    off = np.abs(norms - 1.0) > NORM_GATE
-    if off.any():
-        k = int(np.argmax(off))
-        raise NotNormalizedError(
-            f"alpha={alphas[k]}: state norm {norms[k]} is outside the 1e-6 gate"
-        )
-    return schmidt_weights((rows / norms[:, None]).reshape(raw.shape))
-
-
-def _row_norms(rows) -> np.ndarray:
-    """Euclidean norm of each complex row, bit for bit what np.linalg.norm
-    gives for that row alone: sqrt(re.re + im.im), where numpy computes
-    each row-times-column matmul with the same dot kernel as ndarray.dot."""
-    re, im = rows.real[:, None, :], rows.imag[:, None, :]
-    sq = re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)
-    return np.sqrt(sq.reshape(-1))
+    """(n, 3) Schmidt weights of the witness state at each overlap: the
+    eigenvalues of its branch Gram matrix over their sum, descending."""
+    weights = np.linalg.eigvalsh(witness_gram(alphas, cloned=cloned))
+    return (weights / weights.sum(axis=1, keepdims=True))[:, ::-1]
 
 
 def grid(alpha_min: float, alpha_max: float, steps: int) -> list:

@@ -65,6 +65,19 @@ class TestAnalyze:
         assert captured.out == ""
         assert captured.err == f"error: non-finite Schmidt weight in {weights!r}\n"
 
+    @pytest.mark.parametrize(
+        "weights, problem",
+        [("-0.5,1.5", "negative"), ("-.5,1.5", "negative"), ("-inf,2", "non-finite")],
+    )
+    def test_negative_first_weight_reaches_the_weight_check(
+        self, weights, problem, capsys
+    ):
+        # argparse took a value starting with "-" for an option and printed
+        # its usage block
+        assert main(["analyze", "--schmidt-a", weights, "--schmidt-b", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {problem} Schmidt weight in {weights!r}\n"
+
     def test_unparseable_weight_exits_2(self):
         assert main(["analyze", "--schmidt-a", "0.5,oops", "--schmidt-b", "1,0"]) == 2
 
@@ -164,6 +177,43 @@ class TestStateFileValidation:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "must be integers" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "re_im", [["1", False], [1, False], [True, 0], ["1", "0"]],
+        ids=["string-bool", "number-bool", "bool-number", "strings"],
+    )
+    def test_non_number_amplitude_exits_2(self, re_im, tmp_path, capsys):
+        # float() would read each of these as the amplitude 1+0j
+        path = write_state(tmp_path / "state.json", [1, 1], [[0, 0, *re_im]])
+        capsys.readouterr()
+        assert main(["analyze", "--psi", path, "--schmidt-b", "1"]) == 2
+        entry = [0, 0, *re_im]
+        assert capsys.readouterr().err == (
+            f"error: {path}: amplitudes must be numbers, got {entry!r}\n"
+        )
+
+    def test_amplitude_type_is_checked_after_the_other_checks(self, tmp_path, capsys):
+        path = write_state(
+            tmp_path / "state.json", [2, 2], [[0, 0, "1", 0], [0, 2, 1.0, 0]]
+        )
+        capsys.readouterr()
+        assert main(["analyze", "--psi", path, "--schmidt-b", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: index (0, 2) out of range\n"
+
+    def test_overflowing_norm_prints_one_line(self, tmp_path):
+        # the squared norm overflows inside numpy, whose warning must not
+        # reach stderr ahead of the error line
+        path = write_state(
+            tmp_path / "big.json", [2, 2], [[0, 0, 1e308, 0], [1, 1, 1e308, 0]]
+        )
+        argv = ["analyze", "--psi", path, "--schmidt-b", "1"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "locc_audit.cli", *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == "error: state norm inf is outside the 1e-6 gate\n"
 
     def test_norm_violation_exits_3(self, tmp_path):
         path = write_state(

@@ -31,7 +31,7 @@ from locc_audit import (
     partial_trace_b,
     raw_expansion,
     schmidt_vector,
-    witness_amplitudes,
+    witness_gram,
 )
 from oracles import (
     exact_classify,
@@ -229,23 +229,22 @@ class TestExpansion:
     @pytest.mark.parametrize("alpha", KRON_ALPHAS)
     def test_bit_identical_to_kron_chain(self, alpha):
         pre = build_initial(QubitSpec(alpha))
-        row = KRON_ALPHAS.index(alpha)
-        for cloned, state in ((False, pre), (True, apply_cloner(pre))):
+        for state in (pre, apply_cloner(pre)):
             for blank in sorted(BLANK_CHOICES):
                 ref = kron_chain_expansion(state, blank_state(blank))
-                got = [raw_expansion(state, blank)]
-                if blank == "zero":
-                    # the same overlap taken from one stacked call over all of them
-                    got.append(witness_amplitudes(KRON_ALPHAS, cloned=cloned)[row])
-                for amps in got:
-                    amps = amps.reshape(-1)
-                    assert np.array_equal(amps, ref)
-                    assert amps.tobytes() == ref.tobytes()  # signed zeros included
+                amps = raw_expansion(state, blank)
+                assert np.array_equal(amps, ref)
+                assert amps.tobytes() == ref.tobytes()  # signed zeros included
 
-    def test_stacked_builder_rejects_degenerate_overlaps(self):
-        with pytest.raises(DegenerateOverlapError):
-            witness_amplitudes([0.5, 1.0])
-        assert witness_amplitudes([]).shape == (0, 3, 32)
+    def test_stacked_gram_rows_are_branch_grams(self):
+        alphas = [1e-300, 1e-3, 0.3, 0.5, 0.8, 0.999, 1 - 1e-16]
+        for cloned in (False, True):
+            stacked = witness_gram(alphas, cloned=cloned)
+            assert stacked.shape == (len(alphas), 3, 3)
+            for alpha, got in zip(alphas, stacked.tolist()):
+                state = build_initial(QubitSpec(alpha))
+                assert got == branch_gram(apply_cloner(state) if cloned else state)
+            assert witness_gram([], cloned=cloned).shape == (0, 3, 3)
 
 
 class TestReducedDensity:

@@ -18,13 +18,16 @@ import numpy as np
 import pytest
 
 from locc_audit import (
+    QubitSpec,
     SchmidtVector,
+    apply_cloner,
+    build_initial,
     classify,
     entanglement_entropy,
+    expand,
     final_spectrum_values,
     initial_spectrum_values,
     is_majorized_by,
-    witness_amplitudes,
 )
 from locc_audit import cli
 from locc_audit.majorization import (
@@ -34,7 +37,6 @@ from locc_audit.majorization import (
     entropy_rows,
     majorized_rows,
     schmidt_rows,
-    schmidt_weights,
 )
 
 sweep_module = importlib.import_module("locc_audit.sweep")
@@ -105,10 +107,11 @@ def test_numeric_spectra_verdicts_match_scalar_route():
         _assert_rows_match_scalar(initial, final)
 
 
-def test_schmidt_weights_are_schmidt_vectors():
+def test_svd_weight_rows_are_schmidt_vectors():
     rng = np.random.default_rng(6003)
     alphas = [float(a) for a in rng.uniform(1e-6, 1 - 1e-6, 500)] + EDGE_ALPHAS
-    stacks = [witness_amplitudes(alphas, cloned=True)]
+    witness = [expand(apply_cloner(build_initial(QubitSpec(a)))) for a in alphas]
+    stacks = [np.array([psi.amps.reshape(3, psi.dim_b) for psi in witness])]
     for shape in ((200, 3, 32), (50, 8, 8), (50, 2, 64)):
         amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         amps[::7, -1] = 0.0  # rank-deficient rows give zero weights
@@ -117,7 +120,7 @@ def test_schmidt_weights_are_schmidt_vectors():
         amps = amps / np.linalg.norm(amps.reshape(len(amps), -1), axis=1)[:, None, None]
         rows = majorization_module._svd_weights(amps).tolist()
         probs = [SchmidtVector.from_values(w).probs for w in rows]
-        assert _bits(schmidt_weights(amps)) == _bits(probs)
+        assert _bits(schmidt_rows(majorization_module._svd_weights(amps))) == _bits(probs)
 
 
 # Each triple's left-to-right sum and its exactly rounded sum fall on
