@@ -164,7 +164,7 @@ def load_state_file(path: str) -> PureState:
             raw_i, raw_j, real, imag = entry
             i, j = int(raw_i), int(raw_j)
             amp = complex(float(real), float(imag))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # float(10**400)
             raise CliInputError(f"{path}: bad amplitude entry {entry!r}: {exc}") from None
         if not (0 <= i < dim_a and 0 <= j < dim_b):
             raise CliInputError(f"{path}: index ({i}, {j}) out of range")
@@ -335,10 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     side_b.add_argument("--schmidt-b", help="inline Schmidt weights")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_analyze)
-    # argparse reads a value that starts with "-" as an option unless it
-    # is one negative number; a weight list that starts with a negative
-    # weight must reach parse_inline_schmidt's check instead
-    p._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
     p = sub.add_parser(
         "paper-verify",
@@ -364,6 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_show_state)
 
+    # argparse reads a value that starts with "-" as an option unless its
+    # narrow pattern calls it a negative number (not -1e-3, -inf or a weight
+    # list); such values must reach the range and weight checks instead
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
     return parser
 
 

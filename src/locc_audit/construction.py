@@ -341,19 +341,18 @@ def final_spectrum_values(alpha):
 
 
 def closed_form_initial_spectrum(qubit: QubitSpec) -> SchmidtVector:
-    """Descending Schmidt vector of the pre-cloning state from closed form."""
+    """Descending Schmidt vector of the pre-cloning state from closed form
+    (weights positive on (0, 1): sorted, not gated as input)."""
     _require_interior(qubit)
-    return SchmidtVector.from_values(
-        float(v) for v in initial_spectrum_values(qubit.alpha)
-    )
+    values = map(float, initial_spectrum_values(qubit.alpha))
+    return SchmidtVector(tuple(sorted(values, reverse=True)))
 
 
 def closed_form_final_spectrum(qubit: QubitSpec) -> SchmidtVector:
     """Descending Schmidt vector of the post-cloning state from closed form."""
     _require_interior(qubit)
-    return SchmidtVector.from_values(
-        float(v) for v in final_spectrum_values(qubit.alpha)
-    )
+    values = map(float, final_spectrum_values(qubit.alpha))
+    return SchmidtVector(tuple(sorted(values, reverse=True)))
 
 
 def _require_interior(qubit: QubitSpec):

@@ -76,49 +76,14 @@ def schmidt_vector(state: PureState) -> SchmidtVector:
     """Schmidt vector of a bipartite pure state.
 
     The Schmidt coefficients are the singular values of the dim_a x dim_b
-    amplitude matrix (LAPACK SVD, either side may be the smaller), so the
-    weights are their squares: min(dim_a, dim_b) of them, never negative,
-    rescaled to sum to 1.
+    amplitude matrix (LAPACK SVD, either side may be the smaller, returned
+    descending), so the weights are their squares over their sum:
+    min(dim_a, dim_b) of them, never negative, and already a Schmidt
+    vector, with no input gate to pass.
     """
-    amps = state.amps.reshape(1, state.dim_a, state.dim_b)
-    return SchmidtVector.from_values(_svd_weights(amps)[0].tolist())
-
-
-def _svd_weights(amps) -> np.ndarray:
-    s = np.linalg.svd(amps, compute_uv=False)
+    s = np.linalg.svd(state.amps.reshape(state.dim_a, state.dim_b), compute_uv=False)
     weights = s * s
-    weights /= weights.sum(axis=-1, keepdims=True)
-    return weights
-
-
-def schmidt_rows(values) -> np.ndarray:
-    """SchmidtVector.from_values applied to every row of an (n, k) array.
-
-    Each row is checked for negative weights, clamped at zero and gated on
-    its sum, taken left to right over the unsorted values as from_values
-    does, then sorted descending, keeping tied entries in their input
-    order as sorted() does.  The first offending row raises from_values'
-    error.
-    """
-    vals = np.asarray(values, dtype=np.float64)
-    if vals.shape[1] == 0 and len(vals):
-        raise ValueError("Schmidt vector must be non-empty")
-    lowest = vals.min(axis=1, initial=np.inf)
-    vals = np.where(vals < 0.0, 0.0, vals)
-    total = np.zeros(len(vals))
-    for column in vals.T:
-        total += column
-    negative = lowest < -_ZERO_CLAMP
-    bad = negative | (np.abs(total - 1.0) > ATOL)
-    if bad.any():
-        k = int(np.argmax(bad))
-        if negative[k]:
-            raise ValueError(f"negative Schmidt weight {float(lowest[k])}")
-        raise ValueError(
-            f"Schmidt weights sum to {float(total[k])}, not 1 within 1e-10"
-        )
-    # a stable ascending sort of the negated rows; negating twice is exact
-    return -np.sort(-vals, axis=1, kind="stable")
+    return SchmidtVector(tuple((weights / weights.sum()).tolist()))
 
 
 def entanglement_entropy(sv) -> float:

@@ -28,7 +28,6 @@ from .majorization import (
     classify,
     classify_rows,
     entropy_rows,
-    schmidt_rows,
 )
 
 SCAN_POINTS = 64
@@ -158,9 +157,9 @@ def _witness_block(alphas) -> WitnessBlock:
     """Closed-form rows for a list of overlaps.
 
     The six spectrum values of each overlap are scalar Python arithmetic
-    (numpy's vectorized powers and log2 may round differently); the weight
-    checks, the sort, both majorization tests and the entropies then run
-    on (n, 3) arrays and give every row's doubles bit for bit.
+    (numpy's vectorized powers and log2 may round differently); the sort,
+    both majorization tests and the entropies then run on (n, 3) arrays
+    and give every row's doubles bit for bit.
     """
     alphas = list(alphas)
     floats = []
@@ -183,8 +182,10 @@ def _witness_block(alphas) -> WitnessBlock:
 
 
 def _spectrum_rows(values, alphas) -> np.ndarray:
+    # positive on (0, 1) and held to the numeric route by _cross_check:
+    # sorted descending, not gated as input
     flat = np.fromiter((v for a in alphas for v in values(a)), np.float64, 3 * len(alphas))
-    return schmidt_rows(flat.reshape(-1, 3))
+    return np.sort(flat.reshape(-1, 3))[:, ::-1]
 
 
 def _cross_check(alphas, initial, final):
@@ -269,8 +270,8 @@ def find_threshold(lo: float, hi: float, tol: float) -> ThresholdResult:
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:  # float resolution exhausted
             break
-        initial.append(SchmidtVector.from_values(initial_spectrum_values(mid)).probs)
-        final.append(SchmidtVector.from_values(final_spectrum_values(mid)).probs)
+        initial.append(sorted(initial_spectrum_values(mid), reverse=True))
+        final.append(sorted(final_spectrum_values(mid), reverse=True))
         midpoints.append(mid)
         if classify(initial[-1], final[-1]) is verdict_below:
             a = mid

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from locc_audit import REPORT_FIELDS
-from locc_audit.cli import MAX_AMPLITUDES, main
+from locc_audit.cli import MAX_AMPLITUDES, build_parser, main
 from locc_audit.sweep import MAX_STEPS
 
 RT2 = 0.7071067811865476
@@ -215,6 +215,17 @@ class TestStateFileValidation:
         assert proc.returncode == 3
         assert proc.stderr == "error: state norm inf is outside the 1e-6 gate\n"
 
+    @pytest.mark.parametrize("entry", [[0, 0, 10**400, 0], [0, 0, 1, -(10**400)]])
+    def test_integer_too_large_for_a_double_exits_2(self, entry, tmp_path, capsys):
+        # float() raises OverflowError on it, which escaped as a traceback
+        path = write_state(tmp_path / "state.json", [1, 1], [entry])
+        capsys.readouterr()
+        assert main(["analyze", "--psi", path, "--schmidt-b", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: bad amplitude entry {entry!r}: "
+            "int too large to convert to float\n"
+        )
+
     def test_norm_violation_exits_3(self, tmp_path):
         path = write_state(
             tmp_path / "short.json", [2, 2], [[0, 0, 0.5, 0], [1, 1, 0.5, 0]]
@@ -400,6 +411,39 @@ class TestShowState:
 
     def test_out_of_range_alpha_exits_2(self):
         assert main(["show-state", "--alpha", "1.5", "--which", "initial"]) == 2
+
+
+# the arguments each subcommand needs besides the float option under test
+REQUIRED_ARGS = {
+    "paper-verify": [],
+    "threshold": ["--lo", "0.3", "--hi", "0.9"],
+    "show-state": ["--alpha", "0.5", "--which", "initial"],
+}
+SUBCOMMANDS = next(a.choices for a in build_parser()._actions if a.dest == "command")
+FLOAT_OPTIONS = [
+    (command, action.option_strings[0])
+    for command, parser in SUBCOMMANDS.items()
+    for action in parser._actions
+    if action.type is float
+]
+
+
+def test_every_float_option_is_covered():
+    assert {command for command, _ in FLOAT_OPTIONS} == set(REQUIRED_ARGS)
+    assert len(FLOAT_OPTIONS) == 6
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-inf", "-nan", "-.5"])
+@pytest.mark.parametrize("command, option", FLOAT_OPTIONS)
+def test_negative_float_values_reach_the_range_checks(command, option, value, capsys):
+    # argparse took "-1e-3" or "-inf" for an option and printed its usage
+    # block; the value must reach the subcommand's own one-line check
+    argv = [command, *REQUIRED_ARGS[command], option, value]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(float(value)) in captured.err
 
 
 class TestEntryPoint:

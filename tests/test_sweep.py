@@ -255,6 +255,23 @@ class TestCrossCheck:
         assert main(argv) == 1
         assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
 
+    def test_closed_form_fault_is_internal_not_input(self, monkeypatch, capsys):
+        # computed weights pass no input gate: final weights that sum to 2
+        # are a fault of the program, which the cross-check reports (exit
+        # 1), not malformed input (exit 2)
+        target = grid(0.01, 0.99, 99)[42]
+        real = sweep_module.final_spectrum_values
+
+        def doubled(alpha):
+            values = real(alpha)
+            return tuple(2 * v for v in values) if float(alpha) == target else values
+
+        monkeypatch.setattr(sweep_module, "final_spectrum_values", doubled)
+        capsys.readouterr()
+        assert main(["paper-verify"]) == 1
+        message = self.expected_error(target)
+        assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+
     def test_no_deleting_check_is_cross_checked(self, monkeypatch):
         self.corrupt_closed_form_at(monkeypatch, {0.5})
         message = self.expected_error(0.5)

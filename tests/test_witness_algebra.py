@@ -5,11 +5,16 @@ tensor that the numeric cross-check evaluates.  Its characteristic
 polynomial over its trace equals the product of (x - lambda) over that
 side's closed-form spectrum, as rational functions of a: the closed forms
 are the spectra of the symbolic machines for every overlap, not only at
-sampled ones.  The partial-sum gaps of the verdict then follow from two
-factorizations.
+sampled ones.  The partial-sum gaps of the verdict then follow from
+factorizations whose signs are fixed on (0, 1), up to one polynomial p
+with a single interior root, and the verdict boundary is pinned to the
+smallest double above that root by exact signs of p.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 import pytest
 import sympy as sp
@@ -71,3 +76,35 @@ def test_forward_boundary_polynomial_has_one_interior_root():
     assert p.count_roots(0, 1) == 1
     (root,) = [r for r in p.real_roots() if 0 < r < 1]
     assert abs(sp.N(root, 30) - sp.Rational("0.52716537465516541709")) < 1e-19
+
+
+def test_head_gap_is_negative_on_the_open_interval():
+    # f1 < i1: the largest final weight never reaches the largest initial one
+    i1, _, _ = initial_spectrum_values(a)
+    f1, _, _ = final_spectrum_values(a)
+    expected = -4 * a**4 * (1 - a) / ((3 - a**4) * (3 - a**5))
+    assert sp.cancel(f1 - i1 - expected) == 0
+
+
+def test_final_weights_swap_order_once():
+    # f1 - f2 changes sign once in (0, 1), near 0.5898: only the order of
+    # the two largest final weights changes there, not the verdict
+    f1, f2, _ = final_spectrum_values(a)
+    q = 2 * a**3 + a - 1
+    assert sp.cancel(f1 - f2 - a**2 * q / (3 - a**5)) == 0
+    q = sp.Poly(q, a)
+    assert q.eval(0) == -1 and q.eval(1) == 2
+    assert q.count_roots(0, 1) == 1
+    (root,) = [r for r in q.real_roots() if 0 < r < 1]
+    assert abs(sp.N(root, 20) - sp.Rational("0.5898")) < 1e-4
+
+
+def test_verdict_boundary_is_pinned_to_a_double():
+    # R is the smallest double above the root r of p: p changes sign
+    # between R's predecessor and R, evaluated exactly
+    R = 0.5271653746551654
+    below = math.nextafter(R, 0.0)
+    assert below == 0.5271653746551653
+    p = sp.Poly(P, a)
+    assert p.eval(sp.Rational(Fraction(R))) < 0
+    assert p.eval(sp.Rational(Fraction(below))) > 0
