@@ -135,7 +135,10 @@ def load_state_file(path: str) -> PureState:
             data = json.load(fh)
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    # JSONDecodeError, and the other failures to decode: bytes that are not
+    # UTF-8 or an integer past Python's digit limit (plain ValueErrors), and
+    # nesting too deep for the decoder
+    except (ValueError, RecursionError) as exc:
         raise CliInputError(f"{path}: invalid JSON: {exc}") from None
 
     try:

@@ -147,22 +147,6 @@ def classify(a, b) -> Verdict:
     return VERDICTS[2 * (not is_majorized_by(a, b)) + (not is_majorized_by(b, a))]
 
 
-def majorized_rows(a, b) -> np.ndarray:
-    """is_majorized_by for each row pair of two (n, k) arrays of weights.
-
-    The running sums are cumsum rows, accumulated left to right as the
-    scalar loop does, so every comparison sees the same doubles.
-    """
-    return ~(np.cumsum(a, axis=1) > np.cumsum(b, axis=1) + ATOL).any(axis=1)
-
-
-def classify_rows(a, b) -> np.ndarray:
-    """classify for each row pair, as (n,) integer codes into VERDICTS."""
-    forward_blocked = ~majorized_rows(a, b)
-    backward_blocked = ~majorized_rows(b, a)
-    return 2 * forward_blocked.astype(np.int64) + backward_blocked
-
-
 def incomparable_fast_path_d3(a, b) -> bool:
     """Incomparability of two strictly ordered positive triples.
 

@@ -25,11 +25,17 @@ from .majorization import (
     VERDICTS,
     SchmidtVector,
     Verdict,
-    classify,
-    classify_rows,
     entropy_rows,
 )
 
+# The witness pair's exact verdict boundary (Nielsen's majorization
+# criterion on the closed-form spectra): the smallest double above the one
+# root in (0, 1) of p(a) = 2a^6 - 2a^5 + 3a^4 - 4a^3 + 2a^2 - 6a + 3, the
+# factor of the closed forms' forward gap whose sign changes there.  The
+# pair is Incomparable at alpha >= R and ForwardOnly below it; p, the
+# signs of the other gaps and R itself are proved in
+# tests/test_witness_algebra.py.
+R = 0.5271653746551654
 SCAN_POINTS = 64
 # Largest grid a sweep accepts; checked before the grid is allocated.
 MAX_STEPS = 1 << 20
@@ -133,7 +139,8 @@ class WitnessBlock:
 def classify_construction(alpha) -> PairReport:
     """Full convertibility report for the witness pair at one overlap.
 
-    The verdict comes from the closed-form spectra; the numeric route
+    The spectra come from the closed forms and the verdict from the
+    overlap's side of R; the numeric route
     (the eigenvalues of Alice's 3 x 3 branch Gram matrix, read from the
     machines' words, over their sum) must give the same weights within
     ROUTE_GAP or InternalInconsistencyError is raised.
@@ -144,9 +151,9 @@ def classify_construction(alpha) -> PairReport:
 def classify_block(alphas) -> WitnessBlock:
     """The witness pair at a list of overlaps, classified as one block.
 
-    Each row comes from the closed-form spectra of its overlap alone; the
-    whole list then goes through the numeric route as stacked Gram
-    matrices (see _cross_check).
+    Each row comes from the closed-form spectra of its overlap alone, and
+    its verdict from the overlap's side of R; the whole list then goes
+    through the numeric route as stacked Gram matrices (see _cross_check).
     """
     block = _witness_block(alphas)
     _cross_check(block.alphas, block.initial, block.final)
@@ -157,9 +164,9 @@ def _witness_block(alphas) -> WitnessBlock:
     """Closed-form rows for a list of overlaps.
 
     The six spectrum values of each overlap are scalar Python arithmetic
-    (numpy's vectorized powers and log2 may round differently); the sort,
-    both majorization tests and the entropies then run on (n, 3) arrays
-    and give every row's doubles bit for bit.
+    (numpy's vectorized powers and log2 may round differently); the sort
+    and the entropies then run on (n, 3) arrays and give every row's
+    doubles bit for bit.
     """
     alphas = list(alphas)
     floats = []
@@ -175,10 +182,16 @@ def _witness_block(alphas) -> WitnessBlock:
         alphas=floats,
         initial=initial,
         final=final,
-        codes=classify_rows(initial, final),
+        codes=_verdict_codes(floats),
         entropy_initial=entropy_rows(initial),
         entropy_final=entropy_rows(final),
     )
+
+
+def _verdict_codes(alphas) -> np.ndarray:
+    """Codes into VERDICTS: ForwardOnly (1) below R, Incomparable (3) at or
+    above it; the backward bit is set at every overlap."""
+    return 1 + 2 * (np.asarray(alphas, dtype=np.float64) >= R)
 
 
 def _spectrum_rows(values, alphas) -> np.ndarray:
@@ -196,8 +209,7 @@ def _cross_check(alphas, initial, final):
     in list order, where a descending numeric weight differs from the
     closed-form one (the (n, 3) rows of initial and final) by more than
     ROUTE_GAP raises InternalInconsistencyError.  Weights, not verdicts,
-    are compared: near the tolerance edge two verdicts from weights an
-    ulp apart may differ, though both routes agree.
+    are compared: the verdicts come from R alone.
     """
     for start in range(0, len(alphas), CROSS_CHECK_BLOCK):
         chunk = alphas[start:start + CROSS_CHECK_BLOCK]
@@ -244,8 +256,11 @@ def find_threshold(lo: float, hi: float, tol: float) -> ThresholdResult:
 
     A preliminary scan must see exactly one change between adjacent points;
     zero or several raise NonMonotoneBoundaryError rather than guessing.
-    The bisection steps on closed-form verdicts; the weights of its
-    midpoints are cross-checked together once it ends.
+    The bisection steps on the side of R, so alpha_star lands within tol
+    of the root (or, below the spacing of doubles, between R and its
+    predecessor).  The closed-form weights of the scan points and then of
+    the midpoints are cross-checked together once it ends, before a scan
+    without one change is reported.
     """
     if not (0.0 < lo < hi < 1.0):
         raise SweepRangeError(f"need 0 < lo < hi < 1, got [{lo}, {hi}]")
@@ -255,34 +270,37 @@ def find_threshold(lo: float, hi: float, tol: float) -> ThresholdResult:
         raise SweepRangeError(f"tolerance must be finite, got {tol}")
 
     points = [float(x) for x in np.linspace(lo, hi, SCAN_POINTS)]
-    codes = classify_block(points).codes
+    codes = _verdict_codes(points)
     changes = np.flatnonzero(codes[1:] != codes[:-1])
+    midpoints = []
+    if len(changes) == 1:
+        i = int(changes[0])
+        a, b = points[i], points[i + 1]
+        while b - a > tol:
+            mid = 0.5 * (a + b)
+            if mid <= a or mid >= b:  # float resolution exhausted
+                break
+            midpoints.append(mid)
+            if mid < R:
+                a = mid
+            else:
+                b = mid
+    checked = points + midpoints
+    _cross_check(
+        checked,
+        _spectrum_rows(initial_spectrum_values, checked),
+        _spectrum_rows(final_spectrum_values, checked),
+    )
     if len(changes) != 1:
         raise NonMonotoneBoundaryError(
             f"expected exactly one verdict change on [{lo}, {hi}], "
             f"found {len(changes)}"
         )
-    i = int(changes[0])
-    a, b = points[i], points[i + 1]
-    verdict_below, verdict_above = VERDICTS[codes[i]], VERDICTS[codes[i + 1]]
-    midpoints, initial, final = [], [], []
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:  # float resolution exhausted
-            break
-        initial.append(sorted(initial_spectrum_values(mid), reverse=True))
-        final.append(sorted(final_spectrum_values(mid), reverse=True))
-        midpoints.append(mid)
-        if classify(initial[-1], final[-1]) is verdict_below:
-            a = mid
-        else:
-            b = mid
-    _cross_check(midpoints, np.reshape(initial, (-1, 3)), np.reshape(final, (-1, 3)))
     return ThresholdResult(
         alpha_star=0.5 * (a + b),
         bracket=(a, b),
-        verdict_below=verdict_below,
-        verdict_above=verdict_above,
+        verdict_below=VERDICTS[codes[i]],
+        verdict_above=VERDICTS[codes[i + 1]],
         grid_sign_changes=len(changes),
     )
 

@@ -140,6 +140,26 @@ class TestStateFileValidation:
         path.write_text("{not json")
         assert main(["analyze", "--psi", str(path), "--schmidt-b", "1,0"]) == 2
 
+    @pytest.mark.parametrize("content, reason", [
+        # nesting deeper than the decoder's recursion limit
+        (b"[" * 100_000 + b"]" * 100_000,
+         "maximum recursion depth exceeded while decoding a JSON array"),
+        # an integer past Python's limit of 4300 digits
+        (b'{"dims": [1, 1], "amps": [[0, 0, 1' + b"0" * 5000 + b", 0]]}",
+         "Exceeds the limit (4300 digits) for integer string conversion"),
+        (b'{"dims": [1, 1], "amps": [[0, 0, 1, 0]]}\xff',
+         "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["deep-nesting", "long-integer", "not-utf-8"])
+    def test_undecodable_json_is_one_invalid_json_line(self, content, reason, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_bytes(content)
+        capsys.readouterr()
+        assert main(["analyze", "--psi", str(path), "--schmidt-b", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: invalid JSON: {reason}")
+        assert captured.err.count("\n") == 1
+
     def test_missing_file_exits_2(self):
         assert main(["analyze", "--psi", "/no/such/file.json", "--schmidt-b", "1,0"]) == 2
 

@@ -6,19 +6,25 @@ negative-exponent text and with tiny state files whose amplitudes may be
 floats, integers too large for a double, bools or strings: the run ends
 in a documented exit code, a failure prints exactly one `error: ` line
 and nothing else, and JSON on stdout is strict JSON (no NaN or Infinity).
+Every witness verdict follows the exact rule: a report row is Incomparable
+exactly when its alpha is at least sweep.R (ForwardOnly otherwise) and
+deletion is blocked on every row, and a threshold bracket holds R.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locc_audit.cli import main
+from locc_audit.sweep import R
 
 # 1 (internal inconsistency) and 4 (write failure) cannot follow from the
 # inputs drawn here
@@ -125,3 +131,21 @@ def test_every_command_line_keeps_the_contract(workdir, data):
     json_out = "json" in argv if argv[0] == "paper-verify" else "csv" not in argv
     if json_out and "--out" not in argv:
         json.loads(out, parse_constant=_strict_constant)
+    if argv[0] == "paper-verify":
+        _assert_rows_follow_the_rule(argv, out, json_out)
+    elif argv[0] == "threshold":
+        got = json.loads(out)
+        lo, hi = got["bracket"]
+        assert lo < R <= hi
+        assert (got["verdict_below"], got["verdict_above"]) == ("ForwardOnly", "Incomparable")
+
+
+def _assert_rows_follow_the_rule(argv, out, json_out):
+    if "--out" in argv:
+        out = Path(argv[argv.index("--out") + 1]).read_text(encoding="utf-8")
+    rows = json.loads(out) if json_out else list(csv.DictReader(io.StringIO(out)))
+    assert rows
+    for row in rows:
+        expected = "Incomparable" if float(row["alpha"]) >= R else "ForwardOnly"
+        assert row["verdict"] == expected, row
+        assert row["backward_blocked"] in (True, "true"), row

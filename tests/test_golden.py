@@ -30,11 +30,13 @@ GOLDEN = {
     ("paper-verify", "--format", "json"): (
         "488adc355151213adf4af261249d58d9dcd43d8cd83e1ac8804a888486fb4a42"
     ),
+    # alpha_star 0.52716537462103941, within 1e-10 of the root
     ("threshold", "--lo", "0.3", "--hi", "0.9"): (
-        "55e64765a827c224a367a1b493bc3d4967914eab7e318f30dd630c1475394722"
+        "9bceb3d069de00581110e274090cf5ec0725f4d47834e5f60ee9f3b2237b02c1"
     ),
+    # alpha_star 0.52716537458556045, within 1e-9 of the root
     ("threshold", "--lo", "0.45", "--hi", "0.6", "--tol", "1e-9"): (
-        "bad5ed02bfa04874e92744bab97909c28cf87a03bea417dba4c830e0685602cf"
+        "950cf47e0db490df87f673785cf0bdd586993ac3eaca2ca95d0a0fcf0a8af5b8"
     ),
 }
 

@@ -36,6 +36,10 @@ from locc_audit.cli import main
 # the package exports a function named sweep, so reach the module by path
 sweep_module = importlib.import_module("locc_audit.sweep")
 
+# the root of the forward gap's factor p, to 20 places (see
+# tests/test_witness_algebra.py)
+ROOT = Fraction("0.52716537465516541709")
+
 
 class TestClassifyConstruction:
     def test_high_overlap_is_incomparable(self):
@@ -148,6 +152,19 @@ class TestFindThreshold:
         b = find_threshold(0.3, 0.9, 1e-10)
         assert a == b
 
+    @pytest.mark.parametrize("tol", [10.0 ** -k for k in range(6, 16)])
+    def test_lands_within_tol_of_the_root(self, tol):
+        res = find_threshold(0.3, 0.9, tol)
+        lo, hi = res.bracket
+        assert hi - lo <= tol
+        assert lo < sweep_module.R <= hi
+        assert abs(Fraction(res.alpha_star) - ROOT) <= tol
+
+    def test_below_double_spacing_stops_at_the_adjacent_pair(self):
+        res = find_threshold(0.3, 0.9, 1e-17)
+        assert res.bracket == (0.5271653746551653, sweep_module.R)
+        assert math.nextafter(res.bracket[0], 1.0) == res.bracket[1]
+
     def test_no_change_in_window_rejected(self):
         with pytest.raises(NonMonotoneBoundaryError):
             find_threshold(0.7, 0.9, 1e-10)
@@ -162,7 +179,8 @@ class TestFindThreshold:
 
 
 class TestNoDeleting:
-    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.9])
+    # 8e-6 and 0.999999 lie where the backward gap is within 1e-10 of zero
+    @pytest.mark.parametrize("alpha", [8e-6, 0.05, 0.5, 0.9, 0.999999])
     def test_backward_conversion_blocked(self, alpha):
         assert no_deleting_check(alpha) is True
 
@@ -253,6 +271,19 @@ class TestCrossCheck:
         capsys.readouterr()
         argv = ["threshold", "--lo", "0.3", "--hi", "0.9", "--tol", "1e-8"]
         assert main(argv) == 1
+        assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("lo, hi, k", [(0.3, 0.9, 40), (0.7, 0.9, 10)],
+                             ids=["crossing", "no-crossing"])
+    def test_scan_point_disagreement_is_named(self, lo, hi, k, monkeypatch, capsys):
+        # a window without a crossing is cross-checked before its exit 5
+        target = float(np.linspace(lo, hi, sweep_module.SCAN_POINTS)[k])
+        self.corrupt_closed_form_at(monkeypatch, {target})
+        message = self.expected_error(target)
+        with pytest.raises(InternalInconsistencyError, match=message):
+            find_threshold(lo, hi, 1e-8)
+        capsys.readouterr()
+        assert main(["threshold", "--lo", str(lo), "--hi", str(hi)]) == 1
         assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
 
     def test_closed_form_fault_is_internal_not_input(self, monkeypatch, capsys):

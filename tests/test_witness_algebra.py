@@ -27,6 +27,7 @@ from locc_audit import (
     initial_spectrum_values,
 )
 from locc_audit.construction import _gram_tensor
+from locc_audit.sweep import R
 
 a, x = sp.symbols("a x")
 WITNESS = build_initial(QubitSpec(0.5))  # the words do not depend on alpha
@@ -100,9 +101,10 @@ def test_final_weights_swap_order_once():
 
 
 def test_verdict_boundary_is_pinned_to_a_double():
-    # R is the smallest double above the root r of p: p changes sign
-    # between R's predecessor and R, evaluated exactly
-    R = 0.5271653746551654
+    # sweep.R, on which every witness verdict turns, is the smallest double
+    # above the root r of p: p changes sign between R's predecessor and R,
+    # evaluated exactly
+    assert R == 0.5271653746551654
     below = math.nextafter(R, 0.0)
     assert below == 0.5271653746551653
     p = sp.Poly(P, a)
