@@ -2,7 +2,7 @@
 sweeps, threshold location, and state dumping.
 
 Exit codes: 0 success, 2 malformed input or bad range, 3 normalization
-failure, 4 write failure, 5 non-monotone verdict boundary, 1 internal
+failure, 4 write failure, 5 no verdict change in the window, 1 internal
 inconsistency.
 """
 
@@ -106,8 +106,6 @@ def parse_inline_schmidt(text: str) -> SchmidtVector:
         values = [float(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise CliInputError(f"cannot parse Schmidt vector {text!r}: {exc}") from None
-    if not values:
-        raise CliInputError("empty Schmidt vector")
     if not all(math.isfinite(v) for v in values):
         raise CliInputError(f"non-finite Schmidt weight in {text!r}")
     if min(values) < 0.0:
@@ -117,18 +115,19 @@ def parse_inline_schmidt(text: str) -> SchmidtVector:
         total += v
     if abs(total - 1.0) > INLINE_SUM_TOL:
         raise CliInputError(f"Schmidt weights sum to {total}, not 1 within 1e-9")
-    return SchmidtVector.from_values(v / total for v in values)
+    return SchmidtVector(tuple(sorted((v / total for v in values), reverse=True)))
 
 
 def load_state_file(path: str) -> PureState:
     """Read a StateFile JSON document into a PureState.
 
     Schema: {"dims": [dA, dB], "amps": [[i, j, re, im], ...]} with 0-based
-    indices.  Dims or indices that are not JSON integers (a float, a bool
-    or a string), re or im that are not JSON numbers (a bool or a
-    string), duplicate or out-of-range indices, and dims declaring more
-    than MAX_AMPLITUDES amplitudes, are malformed input; a norm outside
-    the 1e-6 gate is a normalization failure.
+    indices.  Each value's JSON type is checked before it is used: dims or
+    indices that are not JSON integers (a float, a bool or a string), and
+    re or im that are not JSON numbers (a bool or a string), are malformed
+    input, and so are duplicate or out-of-range indices and dims declaring
+    more than MAX_AMPLITUDES amplitudes; a norm outside the 1e-6 gate is a
+    normalization failure.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -142,10 +141,12 @@ def load_state_file(path: str) -> PureState:
         raise CliInputError(f"{path}: invalid JSON: {exc}") from None
 
     try:
-        dim_a, dim_b = (int(d) for d in data["dims"])
+        dim_a, dim_b = data["dims"]
         entries = data["amps"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CliInputError(f"{path}: missing or malformed dims/amps: {exc}") from None
+    if type(dim_a) is not int or type(dim_b) is not int:
+        raise CliInputError(f"{path}: dims must be integers, got {data['dims']!r}")
     if dim_a < 1 or dim_b < 1:
         raise CliInputError(f"{path}: dims must be positive")
     if dim_a * dim_b > MAX_AMPLITUDES:
@@ -153,40 +154,31 @@ def load_state_file(path: str) -> PureState:
             f"{path}: dims {dim_a}x{dim_b} exceed the limit of "
             f"{MAX_AMPLITUDES} amplitudes"
         )
-    # int() read 2.9 as 2, true as 1 and "2" as 2; checked after the limits
-    # (and indices after range and duplicates) so what those reject reads as before
-    if not all(type(d) is int for d in data["dims"]):
-        raise CliInputError(f"{path}: dims must be integers, got {data['dims']!r}")
 
     if not isinstance(entries, list):
         raise CliInputError(f"{path}: amps must be a list")
     amps = {}  # flat index -> amplitude
-    non_numbers = []  # entries whose re or im float() read from a bool or string
     for entry in entries:
         try:
-            raw_i, raw_j, real, imag = entry
-            i, j = int(raw_i), int(raw_j)
+            i, j, real, imag = entry
+        except (TypeError, ValueError) as exc:
+            raise CliInputError(f"{path}: bad amplitude entry {entry!r}: {exc}") from None
+        if type(i) is not int or type(j) is not int:
+            raise CliInputError(f"{path}: indices must be integers, got {entry!r}")
+        if type(real) not in (int, float) or type(imag) not in (int, float):
+            raise CliInputError(f"{path}: amplitudes must be numbers, got {entry!r}")
+        try:
             amp = complex(float(real), float(imag))
-        except (TypeError, ValueError, OverflowError) as exc:  # float(10**400)
+        except OverflowError as exc:  # float(10**400)
             raise CliInputError(f"{path}: bad amplitude entry {entry!r}: {exc}") from None
         if not (0 <= i < dim_a and 0 <= j < dim_b):
             raise CliInputError(f"{path}: index ({i}, {j}) out of range")
         if i * dim_b + j in amps:
             raise CliInputError(f"{path}: duplicate index ({i}, {j})")
-        if type(raw_i) is not int or type(raw_j) is not int:
-            raise CliInputError(f"{path}: indices must be integers, got {entry!r}")
-        if type(real) not in (int, float) or type(imag) not in (int, float):
-            non_numbers.append(entry)
         amps[i * dim_b + j] = amp
     vec = np.zeros(dim_a * dim_b, dtype=np.complex128)
     vec[list(amps)] = list(amps.values())
-    state = PureState(dim_a, dim_b, vec)  # raises NotNormalizedError beyond gate
-    # checked last, so what the checks above reject reads as before
-    if non_numbers:
-        raise CliInputError(
-            f"{path}: amplitudes must be numbers, got {non_numbers[0]!r}"
-        )
-    return state
+    return PureState(dim_a, dim_b, vec)  # raises NotNormalizedError beyond gate
 
 
 def _schmidt_side(path, inline) -> SchmidtVector:

@@ -1,8 +1,8 @@
 """Dense complex linear algebra for small bipartite-state calculations.
 
 Plain numpy on small matrices (dimension <= 96): tensor products, partial
-trace over the second subsystem, and Hermitian eigendecomposition through
-LAPACK (numpy's eigh).  All functions are pure and deterministic for fixed
+trace over the second subsystem, and Hermitian eigenvalues through LAPACK
+(numpy's eigvalsh).  All functions are pure and deterministic for fixed
 inputs.
 """
 
@@ -109,13 +109,11 @@ def partial_trace_b(state: PureState) -> DensityMatrix:
     return DensityMatrix(state.dim_a, rho)
 
 
-def hermitian_eigs(h, vectors: bool = False):
-    """Eigenvalues (descending) of a Hermitian matrix via LAPACK's eigh.
+def hermitian_eigs(h) -> np.ndarray:
+    """Eigenvalues (descending) of a Hermitian matrix via LAPACK's eigvalsh.
 
-    With vectors=True also returns the matrix whose columns are the
-    orthonormal eigenvectors, ordered to match the eigenvalues.  Accepts a
-    plain ndarray or a DensityMatrix.  The input must be Hermitian within
-    1e-10 and is symmetrized before the solve.
+    Accepts a plain ndarray or a DensityMatrix.  The input must be
+    Hermitian within 1e-10 and is symmetrized before the solve.
     """
     if isinstance(h, DensityMatrix):
         h = h.entries
@@ -124,5 +122,4 @@ def hermitian_eigs(h, vectors: bool = False):
         raise ShapeError("expected a square matrix")
     if np.max(np.abs(a - a.conj().T)) > ATOL_ITERATIVE:
         raise NotHermitianError("matrix is not Hermitian within 1e-10")
-    evals, v = np.linalg.eigh((a + a.conj().T) / 2.0)
-    return (evals[::-1], v[:, ::-1]) if vectors else evals[::-1]
+    return np.linalg.eigvalsh((a + a.conj().T) / 2.0)[::-1]

@@ -47,21 +47,6 @@ class SchmidtVector:
 
     probs: tuple
 
-    @classmethod
-    def from_values(cls, values) -> "SchmidtVector":
-        vals = [float(x) for x in values]
-        if not vals:
-            raise ValueError("Schmidt vector must be non-empty")
-        if min(vals) < -_ZERO_CLAMP:
-            raise ValueError(f"negative Schmidt weight {min(vals)}")
-        vals = [0.0 if v < 0.0 else v for v in vals]
-        total = 0.0
-        for v in vals:  # left to right: sum() is compensated from Python 3.12
-            total += v
-        if abs(total - 1.0) > ATOL:
-            raise ValueError(f"Schmidt weights sum to {total}, not 1 within 1e-10")
-        return cls(tuple(sorted(vals, reverse=True)))
-
     def __len__(self) -> int:
         return len(self.probs)
 

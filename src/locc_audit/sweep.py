@@ -53,7 +53,7 @@ class SweepRangeError(ValueError):
 
 
 class NonMonotoneBoundaryError(RuntimeError):
-    """Verdict scan found zero or multiple changes where one was required."""
+    """Verdict scan found no change where one was required."""
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -182,16 +182,11 @@ def _witness_block(alphas) -> WitnessBlock:
         alphas=floats,
         initial=initial,
         final=final,
-        codes=_verdict_codes(floats),
+        # ForwardOnly (1) below R, Incomparable (3) at or above it
+        codes=1 + 2 * (np.asarray(floats, dtype=np.float64) >= R),
         entropy_initial=entropy_rows(initial),
         entropy_final=entropy_rows(final),
     )
-
-
-def _verdict_codes(alphas) -> np.ndarray:
-    """Codes into VERDICTS: ForwardOnly (1) below R, Incomparable (3) at or
-    above it; the backward bit is set at every overlap."""
-    return 1 + 2 * (np.asarray(alphas, dtype=np.float64) >= R)
 
 
 def _spectrum_rows(values, alphas) -> np.ndarray:
@@ -254,13 +249,13 @@ def sweep(alpha_min: float, alpha_max: float, steps: int) -> list:
 def find_threshold(lo: float, hi: float, tol: float) -> ThresholdResult:
     """Bisect the single verdict change of the witness pair inside [lo, hi].
 
-    A preliminary scan must see exactly one change between adjacent points;
-    zero or several raise NonMonotoneBoundaryError rather than guessing.
-    The bisection steps on the side of R, so alpha_star lands within tol
-    of the root (or, below the spacing of doubles, between R and its
+    A preliminary scan must see the change between adjacent points; a scan
+    without it raises NonMonotoneBoundaryError rather than guessing.  The
+    bisection steps on the side of R, so alpha_star lands within tol of
+    the root (or, below the spacing of doubles, between R and its
     predecessor).  The closed-form weights of the scan points and then of
     the midpoints are cross-checked together once it ends, before a scan
-    without one change is reported.
+    without the change is reported.
     """
     if not (0.0 < lo < hi < 1.0):
         raise SweepRangeError(f"need 0 < lo < hi < 1, got [{lo}, {hi}]")
@@ -270,12 +265,13 @@ def find_threshold(lo: float, hi: float, tol: float) -> ThresholdResult:
         raise SweepRangeError(f"tolerance must be finite, got {tol}")
 
     points = [float(x) for x in np.linspace(lo, hi, SCAN_POINTS)]
-    codes = _verdict_codes(points)
-    changes = np.flatnonzero(codes[1:] != codes[:-1])
+    # the verdict is monotone in alpha: it changes once on the scan when
+    # R lies in (points[0], points[-1]], between the pair around it
+    crossing = points[0] < R <= points[-1]
     midpoints = []
-    if len(changes) == 1:
-        i = int(changes[0])
-        a, b = points[i], points[i + 1]
+    if crossing:
+        i = int(np.searchsorted(points, R))
+        a, b = points[i - 1], points[i]
         while b - a > tol:
             mid = 0.5 * (a + b)
             if mid <= a or mid >= b:  # float resolution exhausted
@@ -291,17 +287,16 @@ def find_threshold(lo: float, hi: float, tol: float) -> ThresholdResult:
         _spectrum_rows(initial_spectrum_values, checked),
         _spectrum_rows(final_spectrum_values, checked),
     )
-    if len(changes) != 1:
+    if not crossing:
         raise NonMonotoneBoundaryError(
-            f"expected exactly one verdict change on [{lo}, {hi}], "
-            f"found {len(changes)}"
+            f"expected exactly one verdict change on [{lo}, {hi}], found 0"
         )
     return ThresholdResult(
         alpha_star=0.5 * (a + b),
         bracket=(a, b),
-        verdict_below=VERDICTS[codes[i]],
-        verdict_above=VERDICTS[codes[i + 1]],
-        grid_sign_changes=len(changes),
+        verdict_below=Verdict.FORWARD_ONLY,
+        verdict_above=Verdict.INCOMPARABLE,
+        grid_sign_changes=1,
     )
 
 

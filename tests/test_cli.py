@@ -212,13 +212,42 @@ class TestStateFileValidation:
             f"error: {path}: amplitudes must be numbers, got {entry!r}\n"
         )
 
-    def test_amplitude_type_is_checked_after_the_other_checks(self, tmp_path, capsys):
-        path = write_state(
-            tmp_path / "state.json", [2, 2], [[0, 0, "1", 0], [0, 2, 1.0, 0]]
-        )
+    def test_amplitude_type_is_checked_before_the_other_checks(self, tmp_path, capsys):
+        # the out-of-range index, in the same entry or a later one, and the
+        # norm are never reached
+        for amps in ([[0, 2, "1", 0]], [[0, 0, "1", 0], [0, 2, 1.0, 0]]):
+            path = write_state(tmp_path / "state.json", [2, 2], amps)
+            capsys.readouterr()
+            assert main(["analyze", "--psi", path, "--schmidt-b", "1"]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {path}: amplitudes must be numbers, got {amps[0]!r}\n"
+            )
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ('{"dims": [1, 1], "amps": [[true, 0, 1, 0]]}',
+             "indices must be integers, got [True, 0, 1, 0]"),
+            ('{"dims": [1, 1], "amps": [[0, 0, false, 0]]}',
+             "amplitudes must be numbers, got [0, 0, False, 0]"),
+            ('{"dims": [1, 1], "amps": [[0, 0, "nan", 0]]}',
+             "amplitudes must be numbers, got [0, 0, 'nan', 0]"),
+            ('{"dims": "ab", "amps": [[0, 0, 1, 0]]}',
+             "dims must be integers, got 'ab'"),
+        ],
+        ids=["bool-index", "bool-amplitude", "string-nan", "string-dims"],
+    )
+    def test_type_fault_is_named_before_the_value_is_used(
+        self, doc, message, tmp_path, capsys
+    ):
+        # each value read before its type was checked, these reported an
+        # index (1, 0) out of range, a norm of 0 outside the gate (exit 3),
+        # NaN amplitudes, and int()'s failure on "a"
+        path = tmp_path / "state.json"
+        path.write_text(doc)
         capsys.readouterr()
-        assert main(["analyze", "--psi", path, "--schmidt-b", "1"]) == 2
-        assert capsys.readouterr().err == f"error: {path}: index (0, 2) out of range\n"
+        assert main(["analyze", "--psi", str(path), "--schmidt-b", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     def test_overflowing_norm_prints_one_line(self, tmp_path):
         # the squared norm overflows inside numpy, whose warning must not

@@ -183,27 +183,14 @@ class TestHermitianEigs:
                     got, np.linalg.eigvalsh(h)[::-1], atol=1e-12
                 )
 
-    def test_reconstruction_residual(self):
-        rng = np.random.default_rng(5)
-        for n in (2, 3, 5, 8, 13):
-            h = random_hermitian(rng, n)
-            vals, vecs = hermitian_eigs(h, vectors=True)
-            rebuilt = (vecs * vals) @ vecs.conj().T
-            scale = np.linalg.norm(h)
-            assert np.linalg.norm(rebuilt - h) <= 1e-9 * scale
-            ortho = vecs.conj().T @ vecs
-            assert np.max(np.abs(ortho - np.eye(n))) <= 1e-10
-
     def test_large_matrix(self):
-        """96 x 96 case: matches the reference solver and reconstructs."""
+        """96 x 96 case: matches the reference solver."""
         rng = np.random.default_rng(960)
         h = random_hermitian(rng, 96)
-        vals, vecs = hermitian_eigs(h, vectors=True)
         np.testing.assert_allclose(
-            vals, np.linalg.eigvalsh(h)[::-1], atol=1e-10 * np.linalg.norm(h)
+            hermitian_eigs(h), np.linalg.eigvalsh(h)[::-1],
+            atol=1e-10 * np.linalg.norm(h),
         )
-        rebuilt = (vecs * vals) @ vecs.conj().T
-        assert np.linalg.norm(rebuilt - h) <= 1e-9 * np.linalg.norm(h)
 
     def test_accepts_density_matrix_wrapper(self):
         rho = DensityMatrix(2, np.eye(2, dtype=complex) / 2)

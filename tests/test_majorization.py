@@ -84,22 +84,6 @@ class TestSchmidtVector:
         assert sv.probs[0] == pytest.approx(1.0, abs=1e-12)
         assert all(0.0 <= p <= 1e-15 for p in sv.probs[1:])
 
-    def test_from_values_sorts_descending(self):
-        sv = SchmidtVector.from_values([0.2, 0.5, 0.3])
-        assert sv.probs == (0.5, 0.3, 0.2)
-
-    def test_from_values_clamps_tiny_negatives(self):
-        sv = SchmidtVector.from_values([1.0, -5e-13])
-        assert sv.probs == (1.0, 0.0)
-
-    def test_from_values_rejects_real_negatives(self):
-        with pytest.raises(ValueError):
-            SchmidtVector.from_values([1.1, -0.1])
-
-    def test_from_values_rejects_bad_sum(self):
-        with pytest.raises(ValueError):
-            SchmidtVector.from_values([0.7, 0.4])
-
 
 class TestEntropy:
     def test_bell_is_one_bit(self):
@@ -134,8 +118,8 @@ class TestIsMajorizedBy:
         assert not is_majorized_by((0.5, 0.5), (1 / 3, 1 / 3, 1 / 3))
 
     def test_accepts_schmidt_vector_instances(self):
-        a = SchmidtVector.from_values([0.5, 0.5])
-        b = SchmidtVector.from_values([1.0, 0.0])
+        a = SchmidtVector((0.5, 0.5))
+        b = SchmidtVector((1.0, 0.0))
         assert is_majorized_by(a, b)
 
     def test_tolerance_is_absolute(self):

@@ -2,10 +2,11 @@
 
 The report path classifies whole lists of overlaps as (n, 3) arrays.  Every
 double it produces (weights, entropies) must be exactly what
-SchmidtVector.from_values and entanglement_entropy give for one pair,
-including on ties, zeros and clamped negatives.  Its verdicts follow the
-exact rule (sweep.R), which the scalar 1e-10-tolerance classify agrees with
-everywhere outside the tolerance band.
+closed_form_*_spectrum and entanglement_entropy give for one pair, and its
+entropies what the scalar gives on any descending triple, including ties,
+zeros and negatives.  Its verdicts follow the exact rule (sweep.R), which the
+scalar 1e-10-tolerance classify agrees with everywhere outside the tolerance
+band.
 """
 
 from __future__ import annotations
@@ -16,15 +17,15 @@ import math
 import numpy as np
 
 from locc_audit import (
-    SchmidtVector,
+    QubitSpec,
     Verdict,
     classify,
+    closed_form_final_spectrum,
+    closed_form_initial_spectrum,
     entanglement_entropy,
-    final_spectrum_values,
-    initial_spectrum_values,
 )
 from locc_audit import cli
-from locc_audit.majorization import ATOL, VERDICTS, entropy_rows
+from locc_audit.majorization import VERDICTS, entropy_rows
 
 sweep_module = importlib.import_module("locc_audit.sweep")
 majorization_module = importlib.import_module("locc_audit.majorization")
@@ -60,8 +61,8 @@ def test_closed_form_block_matches_scalar_route():
     block = sweep_module._witness_block(alphas)
     initial, final, tolerance_codes, ent_i, ent_f = [], [], [], [], []
     for alpha in alphas:
-        li = SchmidtVector.from_values(initial_spectrum_values(alpha))
-        lf = SchmidtVector.from_values(final_spectrum_values(alpha))
+        li = closed_form_initial_spectrum(QubitSpec(alpha))
+        lf = closed_form_final_spectrum(QubitSpec(alpha))
         initial.append(li.probs)
         final.append(lf.probs)
         tolerance_codes.append(VERDICTS.index(classify(li, lf)))
@@ -92,32 +93,30 @@ def test_closed_form_block_matches_scalar_route():
 
 
 # Each triple's left-to-right sum and its exactly rounded sum fall on
-# opposite sides of the 1e-10 gate.
+# opposite sides of parse_inline_schmidt's 1e-9 gate: the first is inside
+# it left to right, the other two outside.
 GATE_SPLIT_TRIPLES = [
-    [0.11654222512878631, 0.09234661661639372, 0.79111115815482],
-    [0.41788255195993484, 0.17310682716202136, 0.40901062077804384],
-    [0.41878898783128643, 0.2225817290609734, 0.35862928320774007],
+    [0.18088054490054023, 0.441365823944026, 0.37775363015543373],
+    [0.401487477299289, 0.12508417350012688, 0.47342835020058405],
+    [0.3100119987660067, 0.47409749019875885, 0.21589051003523446],
 ]
 
 
-def _outcome(check, values):
+def _parse_outcome(values):
     try:
-        return tuple(check(values))
+        return cli.parse_inline_schmidt(",".join(map(repr, values))).probs
     except ValueError as exc:
         return str(exc)
-
-
-def _from_values(values):
-    return SchmidtVector.from_values(values).probs
 
 
 def _left_to_right_outcome(values):
     total = (values[0] + values[1]) + values[2]
     # the exactly rounded sum falls on the other side of the gate
-    assert (abs(math.fsum(values) - 1.0) > ATOL) != (abs(total - 1.0) > ATOL)
-    if abs(total - 1.0) > ATOL:
-        return f"Schmidt weights sum to {total}, not 1 within 1e-10"
-    return tuple(sorted(values, reverse=True))
+    tol = cli.INLINE_SUM_TOL
+    assert (abs(math.fsum(values) - 1.0) > tol) != (abs(total - 1.0) > tol)
+    if abs(total - 1.0) > tol:
+        return f"Schmidt weights sum to {total}, not 1 within 1e-9"
+    return tuple(sorted((v / total for v in values), reverse=True))
 
 
 def test_sums_run_left_to_right_whatever_builtin_sum_does(monkeypatch, capsys):
@@ -127,17 +126,18 @@ def test_sums_run_left_to_right_whatever_builtin_sum_does(monkeypatch, capsys):
     assert cli.main(argv) == 0
     expected_cli = capsys.readouterr().out
     expected = [_left_to_right_outcome(v) for v in GATE_SPLIT_TRIPLES]
-    assert [_outcome(_from_values, v) for v in GATE_SPLIT_TRIPLES] == expected
+    assert [isinstance(e, str) for e in expected] == [False, True, True]
+    assert [_parse_outcome(v) for v in GATE_SPLIT_TRIPLES] == expected
     for module in (cli, majorization_module):
         monkeypatch.setattr(module, "sum", math.fsum, raising=False)
-    assert [_outcome(_from_values, v) for v in GATE_SPLIT_TRIPLES] == expected
+    assert [_parse_outcome(v) for v in GATE_SPLIT_TRIPLES] == expected
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == expected_cli
 
 
 def _triples(seed: int, n: int) -> list:
-    """Triples with ties, signed zeros, clamped and rejected negatives, and
-    sums on both sides of the 1e-10 gate."""
+    """Descending triples with ties, signed zeros, tiny and larger
+    negatives, and sums on both sides of 1."""
     rng = np.random.default_rng(seed)
     pool = [0.0, -0.0, -1e-13, -1e-12, -2e-12, 1e-12, 2e-12, 0.5, 0.25, 1 / 3,
             0.2, 0.3, 0.125, 1e-11]
@@ -155,19 +155,11 @@ def _triples(seed: int, n: int) -> list:
             row = [c, b, a + float(rng.choice([0.0, 0.9e-10, 1.1e-10, -1.1e-10]))]
         else:
             row = [a, b, c]
-        rows.append(row)
+        rows.append(sorted(row, reverse=True))
     return rows
 
 
-def _scalar_outcome(row):
-    try:
-        return SchmidtVector.from_values(row).probs
-    except ValueError as exc:
-        return str(exc)
-
-
 def test_entropy_rows_match_scalar_entropy():
-    outcomes = [_scalar_outcome(r) for r in _triples(6007, 8000)]
-    rows = np.array([r for r in outcomes if not isinstance(r, str)])
+    rows = np.array(_triples(6007, 8000))
     expected = [entanglement_entropy(r) for r in rows.tolist()]
     assert _bits(entropy_rows(rows)) == _bits(expected)
