@@ -172,6 +172,14 @@ class TestBlankState:
         with pytest.raises(ValueError):
             blank_state("minus")
 
+    def test_non_unit_vector_rejected(self):
+        with pytest.raises(ValueError, match="unknown blank state"):
+            blank_state((0.5, 0.5))
+
+    def test_wrong_size_rejected(self):
+        with pytest.raises(ValueError, match="unknown blank state"):
+            blank_state((1.0, 0.0, 0.0))
+
     def test_non_name_rejected(self):
         # the amplitude pair of "one", as a tuple or a list, is not its name
         for choice in ((0.0, 1.0), [0.0, 1.0], None):
