@@ -26,16 +26,16 @@ from .construction import (
 )
 from .linalg import NotNormalizedError, PureState
 from .majorization import (
-    VERDICTS,
     SchmidtVector,
-    Verdict,
     classify,
     entanglement_entropy,
     schmidt_vector,
 )
 from .sweep import (
     CROSS_CHECK_BLOCK,
+    NO_DELETING,
     REPORT_FIELDS,
+    WITNESS_VERDICTS,
     InternalInconsistencyError,
     NonMonotoneBoundaryError,
     classify_block,
@@ -178,7 +178,10 @@ def load_state_file(path: str) -> PureState:
         amps[i * dim_b + j] = amp
     vec = np.zeros(dim_a * dim_b, dtype=np.complex128)
     vec[list(amps)] = list(amps.values())
-    return PureState(dim_a, dim_b, vec)  # raises NotNormalizedError beyond gate
+    try:
+        return PureState(dim_a, dim_b, vec)
+    except ValueError as exc:  # a norm outside the gate, or a NaN or Inf amplitude
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _schmidt_side(path, inline) -> SchmidtVector:
@@ -221,9 +224,9 @@ def _report_payload(block, fmt: str):
         head, sep, tail = "[\n", ",\n", "\n]\n"
     else:
         head, sep, tail = ",".join(REPORT_FIELDS) + "\n", "\n", "\n"
-    verdicts = [str(v) for v in VERDICTS]
+    verdicts = [str(v) for v in WITNESS_VERDICTS]
     flag = ("false", "true")
-    incomparable = VERDICTS.index(Verdict.INCOMPARABLE)
+    backward = flag[NO_DELETING]
     yield head
     for start in range(0, len(block.alphas), CROSS_CHECK_BLOCK):
         part = slice(start, start + CROSS_CHECK_BLOCK)
@@ -231,17 +234,15 @@ def _report_payload(block, fmt: str):
             np.column_stack(
                 [block.alphas[part], block.initial[part], block.final[part]]
             ).tolist(),
-            block.codes[part].tolist(),
+            block.incomparable[part].tolist(),
             block.entropy_initial[part].tolist(),
             block.entropy_final[part].tolist(),
         )
-        # the blocked flags are the two bits of the verdict code
         lines = [
             row.format(
-                *numbers, verdicts[code], ent_i, ent_f,
-                flag[code >> 1], flag[code & 1], flag[code == incomparable],
+                *numbers, verdicts[inc], ent_i, ent_f, flag[inc], backward, flag[inc],
             )
-            for numbers, code, ent_i, ent_f in rows
+            for numbers, inc, ent_i, ent_f in rows
         ]
         yield (sep if start else "") + sep.join(lines)
     yield tail
@@ -263,12 +264,11 @@ def cmd_paper_verify(args) -> int:
         sys.stdout.writelines(payload)
         summary_stream = sys.stderr
 
-    # codes index VERDICTS: 1 is ForwardOnly, 3 Incomparable
-    counts = np.bincount(block.codes, minlength=len(VERDICTS)).tolist()
-    universal = "true" if block.backward_blocked.all() else "false"
+    rows = len(block.incomparable)
+    incomparable = np.count_nonzero(block.incomparable)
     summary_stream.write(
-        f"rows={len(block.codes)} incomparable={counts[3]} forward_only={counts[1]} "
-        f"no_deleting_universal={universal}\n"
+        f"rows={rows} incomparable={incomparable} forward_only={rows - incomparable} "
+        f"no_deleting_universal={'true' if NO_DELETING else 'false'}\n"
     )
     return 0
 
@@ -277,9 +277,7 @@ def cmd_threshold(args) -> int:
     result = find_threshold(args.lo, args.hi, args.tol)
     _write(
         THRESHOLD_FIELDS, ("number", "value", "string", "string", "value"), "json",
-        result.alpha_star, _vector(result.bracket, "json"),
-        str(result.verdict_below), str(result.verdict_above),
-        result.grid_sign_changes,
+        result.alpha_star, _vector(result.bracket, "json"), *map(str, WITNESS_VERDICTS), 1,
     )
     return 0
 

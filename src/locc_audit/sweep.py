@@ -21,12 +21,7 @@ from .construction import (
     initial_spectrum_values,
     witness_gram,
 )
-from .majorization import (
-    VERDICTS,
-    SchmidtVector,
-    Verdict,
-    entropy_rows,
-)
+from .majorization import SchmidtVector, Verdict, entropy_rows
 
 # The witness pair's exact verdict boundary (Nielsen's majorization
 # criterion on the closed-form spectra): the smallest double above the one
@@ -36,6 +31,12 @@ from .majorization import (
 # signs of the other gaps and R itself are proved in
 # tests/test_witness_algebra.py.
 R = 0.5271653746551654
+# The witness pair's verdict below R, and at or above it.
+WITNESS_VERDICTS = (Verdict.FORWARD_ONLY, Verdict.INCOMPARABLE)
+# The deletion direction is blocked at every overlap in (0, 1), so an
+# exact deleter would beat LOCC there: the closed forms' backward gaps are
+# negative on all of it, proved in tests/test_witness_algebra.py.
+NO_DELETING = True
 SCAN_POINTS = 64
 # Largest grid a sweep accepts; checked before the grid is allocated.
 MAX_STEPS = 1 << 20
@@ -71,11 +72,11 @@ class PairReport:
 
     @property
     def forward_blocked(self) -> bool:
-        return VERDICTS.index(self.verdict) >= 2
+        return self.verdict is Verdict.INCOMPARABLE
 
     @property
     def backward_blocked(self) -> bool:
-        return VERDICTS.index(self.verdict) % 2 == 1
+        return NO_DELETING
 
     @property
     def paper_claim_upheld(self) -> bool:
@@ -86,34 +87,24 @@ class PairReport:
 class ThresholdResult:
     alpha_star: float
     bracket: tuple
-    verdict_below: Verdict
-    verdict_above: Verdict
-    grid_sign_changes: int
 
 
 @dataclass(frozen=True)
 class WitnessBlock:
     """Closed-form reports of the witness pair at n overlaps, as arrays.
 
-    Row k holds what the PairReport of alphas[k] holds: the descending
-    initial and final weights, the verdict as a code into VERDICTS, and
-    both entropies.  The blocked flags are the two bits of the code.
+    Row k holds what the PairReport of alphas[k] holds: the overlap as a
+    double, the descending initial and final weights, whether the pair is
+    incomparable there (alpha >= R; ForwardOnly otherwise), and both
+    entropies.
     """
 
-    alphas: list
+    alphas: np.ndarray
     initial: np.ndarray
     final: np.ndarray
-    codes: np.ndarray
+    incomparable: np.ndarray
     entropy_initial: np.ndarray
     entropy_final: np.ndarray
-
-    @property
-    def forward_blocked(self) -> np.ndarray:
-        return self.codes >= 2
-
-    @property
-    def backward_blocked(self) -> np.ndarray:
-        return self.codes % 2 == 1
 
     def reports(self) -> list:
         return [
@@ -121,15 +112,15 @@ class WitnessBlock:
                 alpha=alpha,
                 initial_spectrum=SchmidtVector(tuple(li)),
                 final_spectrum=SchmidtVector(tuple(lf)),
-                verdict=VERDICTS[code],
+                verdict=WITNESS_VERDICTS[incomparable],
                 entropy_initial=ent_i,
                 entropy_final=ent_f,
             )
-            for alpha, li, lf, code, ent_i, ent_f in zip(
-                self.alphas,
+            for alpha, li, lf, incomparable, ent_i, ent_f in zip(
+                self.alphas.tolist(),
                 self.initial.tolist(),
                 self.final.tolist(),
-                self.codes.tolist(),
+                self.incomparable.tolist(),
                 self.entropy_initial.tolist(),
                 self.entropy_final.tolist(),
             )
@@ -163,27 +154,24 @@ def classify_block(alphas) -> WitnessBlock:
 def _witness_block(alphas) -> WitnessBlock:
     """Closed-form rows for a list of overlaps.
 
-    The six spectrum values of each overlap are scalar Python arithmetic
-    (numpy's vectorized powers and log2 may round differently); the sort
-    and the entropies then run on (n, 3) arrays and give every row's
-    doubles bit for bit.
+    The six spectrum values of each overlap are scalar Python arithmetic on
+    the caller's own numbers (numpy's vectorized powers and log2 may round
+    differently, and a Fraction stays exact); the sort and the entropies
+    then run on (n, 3) arrays and give every row's doubles bit for bit.
     """
     alphas = list(alphas)
-    floats = []
-    for alpha in alphas:
-        a = float(alpha)
-        if not 0.0 < a < 1.0:
-            # the scalar route raises the [0, 1] or degenerate-overlap error
-            closed_form_initial_spectrum(QubitSpec(alpha))
-        floats.append(a)
+    doubles = np.array(alphas, dtype=np.float64)
+    outside = ~((doubles > 0.0) & (doubles < 1.0))
+    if outside.any():
+        # the scalar route raises the [0, 1] or degenerate-overlap error
+        closed_form_initial_spectrum(QubitSpec(alphas[int(np.argmax(outside))]))
     initial = _spectrum_rows(initial_spectrum_values, alphas)
     final = _spectrum_rows(final_spectrum_values, alphas)
     return WitnessBlock(
-        alphas=floats,
+        alphas=doubles,
         initial=initial,
         final=final,
-        # ForwardOnly (1) below R, Incomparable (3) at or above it
-        codes=1 + 2 * (np.asarray(floats, dtype=np.float64) >= R),
+        incomparable=doubles >= R,
         entropy_initial=entropy_rows(initial),
         entropy_final=entropy_rows(final),
     )
@@ -217,7 +205,7 @@ def _cross_check(alphas, initial, final):
         if off.any():
             k = int(np.argmax(off))
             raise InternalInconsistencyError(
-                f"alpha={chunk[k]}: closed-form and numeric weights differ "
+                f"alpha={float(chunk[k])}: closed-form and numeric weights differ "
                 f"by {gap[k]:.3g}, more than {ROUTE_GAP:g}"
             )
 
@@ -291,13 +279,7 @@ def find_threshold(lo: float, hi: float, tol: float) -> ThresholdResult:
         raise NonMonotoneBoundaryError(
             f"expected exactly one verdict change on [{lo}, {hi}], found 0"
         )
-    return ThresholdResult(
-        alpha_star=0.5 * (a + b),
-        bracket=(a, b),
-        verdict_below=Verdict.FORWARD_ONLY,
-        verdict_above=Verdict.INCOMPARABLE,
-        grid_sign_changes=1,
-    )
+    return ThresholdResult(alpha_star=0.5 * (a + b), bracket=(a, b))
 
 
 def no_deleting_check(alpha) -> bool:

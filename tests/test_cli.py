@@ -262,7 +262,28 @@ class TestStateFileValidation:
             text=True,
         )
         assert proc.returncode == 3
-        assert proc.stderr == "error: state norm inf is outside the 1e-6 gate\n"
+        assert proc.stderr == f"error: {path}: state norm inf is outside the 1e-6 gate\n"
+
+    @pytest.mark.parametrize("doc, code, message", [
+        ('{"dims": [2, 3], "amps": [[0, 0, 0.6, 0], [1, 2, 1, 0]]}', 3,
+         "state norm 1.16619037896906 is outside the 1e-6 gate"),
+        ('{"dims": [1, 1], "amps": [[0, 0, NaN, 0]]}', 2,
+         "amps contains NaN or Inf entries"),
+        ('{"dims": [1, 1], "amps": [[0, 0, 1e400, 0]]}', 2,
+         "amps contains NaN or Inf entries"),
+    ], ids=["norm-gate", "nan", "overflowing-literal"])
+    def test_state_fault_names_its_file(self, doc, code, message, tmp_path, capsys):
+        # PureState's own checks once reached stderr without the path, so
+        # with two state files the message did not say which was at fault
+        bad = tmp_path / "bad.json"
+        bad.write_text(doc)
+        for sides in (
+            ["--psi", str(bad), "--schmidt-b", "1"],
+            ["--psi", bell_file(tmp_path), "--phi", str(bad)],
+        ):
+            capsys.readouterr()
+            assert main(["analyze", *sides]) == code
+            assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
     @pytest.mark.parametrize("entry", [[0, 0, 10**400, 0], [0, 0, 1, -(10**400)]])
     def test_integer_too_large_for_a_double_exits_2(self, entry, tmp_path, capsys):

@@ -7,8 +7,10 @@ floats, integers too large for a double, bools or strings: the run ends
 in a documented exit code, a failure prints exactly one `error: ` line
 and nothing else, and JSON on stdout is strict JSON (no NaN or Infinity).
 Every witness verdict follows the exact rule: a report row is Incomparable
-exactly when its alpha is at least sweep.R (ForwardOnly otherwise) and
-deletion is blocked on every row, and a threshold bracket holds R.
+exactly when its alpha is at least sweep.R (ForwardOnly otherwise),
+its forward_blocked and paper_claim_upheld flags say whether it is
+Incomparable, deletion is blocked on every row, the summary line counts
+the rows, and a threshold bracket holds R.
 """
 
 from __future__ import annotations
@@ -132,7 +134,7 @@ def test_every_command_line_keeps_the_contract(workdir, data):
     if json_out and "--out" not in argv:
         json.loads(out, parse_constant=_strict_constant)
     if argv[0] == "paper-verify":
-        _assert_rows_follow_the_rule(argv, out, json_out)
+        _assert_rows_follow_the_rule(argv, out, err, json_out)
     elif argv[0] == "threshold":
         got = json.loads(out)
         lo, hi = got["bracket"]
@@ -140,12 +142,24 @@ def test_every_command_line_keeps_the_contract(workdir, data):
         assert (got["verdict_below"], got["verdict_above"]) == ("ForwardOnly", "Incomparable")
 
 
-def _assert_rows_follow_the_rule(argv, out, json_out):
+def _assert_rows_follow_the_rule(argv, out, err, json_out):
+    # the summary line goes to stdout when the report goes to --out
+    summary = err
     if "--out" in argv:
+        summary = out
         out = Path(argv[argv.index("--out") + 1]).read_text(encoding="utf-8")
     rows = json.loads(out) if json_out else list(csv.DictReader(io.StringIO(out)))
     assert rows
+    true = True if json_out else "true"
     for row in rows:
-        expected = "Incomparable" if float(row["alpha"]) >= R else "ForwardOnly"
-        assert row["verdict"] == expected, row
-        assert row["backward_blocked"] in (True, "true"), row
+        incomparable = float(row["alpha"]) >= R
+        assert row["verdict"] == ("Incomparable" if incomparable else "ForwardOnly"), row
+        assert row["backward_blocked"] == true, row
+        upheld = row["verdict"] == "Incomparable"
+        assert (row["forward_blocked"] == true) == upheld, row
+        assert (row["paper_claim_upheld"] == true) == upheld, row
+    counted = sum(row["verdict"] == "Incomparable" for row in rows)
+    assert summary == (
+        f"rows={len(rows)} incomparable={counted} forward_only={len(rows) - counted} "
+        "no_deleting_universal=true\n"
+    )

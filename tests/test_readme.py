@@ -1,0 +1,15 @@
+"""README's Library examples, run as doctests so the documented API and
+its printed values cannot drift from the code."""
+
+from __future__ import annotations
+
+import doctest
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_examples_run():
+    result = doctest.testfile(str(README), module_relative=False, verbose=False)
+    assert result.attempted > 0
+    assert result.failed == 0

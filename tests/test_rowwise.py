@@ -69,12 +69,10 @@ def test_closed_form_block_matches_scalar_route():
         ent_i.append(entanglement_entropy(li))
         ent_f.append(entanglement_entropy(lf))
     codes = [1 + 2 * (alpha >= sweep_module.R) for alpha in alphas]
-    assert block.alphas == alphas
+    assert block.alphas.tolist() == alphas
     assert _bits(block.initial) == _bits(initial)
     assert _bits(block.final) == _bits(final)
-    assert block.codes.tolist() == codes
-    assert block.forward_blocked.tolist() == [c >= 2 for c in codes]
-    assert block.backward_blocked.all()
+    assert block.incomparable.tolist() == [c == 3 for c in codes]
     assert _bits(block.entropy_initial) == _bits(ent_i)
     assert _bits(block.entropy_final) == _bits(ent_f)
     # the tolerance route differs from the exact rule only inside the band,
@@ -86,7 +84,7 @@ def test_closed_form_block_matches_scalar_route():
     # (Equivalent by tolerance), the midpoint where the routes once split,
     # and the band's high edge (BackwardOnly by tolerance)
     edge = sweep_module._witness_block(EDGE_ALPHAS)
-    assert edge.codes.tolist() == [1, 3, 3]
+    assert edge.incomparable.tolist() == [False, True, True]
     assert [VERDICTS[c] for c in tolerance_codes[-3:]] == [
         Verdict.EQUIVALENT, Verdict.INCOMPARABLE, Verdict.BACKWARD_ONLY,
     ]

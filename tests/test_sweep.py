@@ -139,9 +139,6 @@ class TestSweep:
 class TestFindThreshold:
     def test_locates_the_boundary(self):
         res = find_threshold(0.3, 0.9, 1e-10)
-        assert res.grid_sign_changes == 1
-        assert res.verdict_below is Verdict.FORWARD_ONLY
-        assert res.verdict_above is Verdict.INCOMPARABLE
         lo, hi = res.bracket
         assert hi - lo <= 1e-10
         assert lo <= res.alpha_star <= hi
