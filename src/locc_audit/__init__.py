@@ -61,7 +61,6 @@ from .sweep import (
     grid,
     no_deleting_check,
     report_row,
-    sweep,
 )
 
 __version__ = "0.1.0"

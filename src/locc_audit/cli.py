@@ -2,8 +2,8 @@
 sweeps, threshold location, and state dumping.
 
 Exit codes: 0 success, 2 malformed input or bad range, 3 normalization
-failure, 4 write failure, 5 no verdict change in the window, 1 internal
-inconsistency.
+failure, 4 write failure (of the report file or of stdout), 5 no verdict
+change in the window, 1 internal inconsistency.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class WriteFailure(OSError):
     pass
 
 
-# The output layer: every subcommand writes its records through _template
+# The output layer: every subcommand formats its records through _template
 # and its number lists through _vector, so one spec decides every number:
 # 17 significant digits, enough to round-trip a double exactly.
 _NUMBER = ".17g"
@@ -91,10 +91,10 @@ def _vector(values, fmt: str) -> str:
     return _array([format(v, _NUMBER) for v in values], fmt)
 
 
-def _write(fields, kinds, fmt: str, *values) -> None:
-    """One record on stdout; in CSV under its header line."""
+def _record(fields, kinds, fmt: str, *values) -> str:
+    """One record as a line of text; in CSV under its header line."""
     head = ",".join(fields) + "\n" if fmt == "csv" else ""
-    sys.stdout.write(head + _template(fields, kinds, fmt).format(*values) + "\n")
+    return head + _template(fields, kinds, fmt).format(*values) + "\n"
 
 
 def parse_inline_schmidt(text: str) -> SchmidtVector:
@@ -198,16 +198,17 @@ AMP_FIELDS = ("i", "j", "re", "im")
 REPORT_KINDS = ("number",) * 7 + ("string",) + ("number",) * 2 + ("value",) * 3
 
 
-def cmd_analyze(args) -> int:
+# Each cmd_* computes its output and returns (report, note): the report an
+# iterable of text, the note one optional line; main writes both.
+def cmd_analyze(args):
     sv_a = _schmidt_side(args.psi, args.schmidt_a)
     sv_b = _schmidt_side(args.phi, args.schmidt_b)
-    _write(
+    return [_record(
         ANALYZE_FIELDS, ("string", "value", "value", "number", "number"), args.format,
         str(classify(sv_a, sv_b)), _vector(sv_a.probs, args.format),
         _vector(sv_b.probs, args.format),
         entanglement_entropy(sv_a), entanglement_entropy(sv_b),
-    )
-    return 0
+    )], None
 
 
 def _report_payload(block, fmt: str):
@@ -248,41 +249,27 @@ def _report_payload(block, fmt: str):
     yield tail
 
 
-def cmd_paper_verify(args) -> int:
+def cmd_paper_verify(args):
     # the whole grid is classified and cross-checked before any output
     block = classify_block(grid(args.alpha_min, args.alpha_max, args.steps))
-    payload = _report_payload(block, args.format)
-
-    if args.out is not None:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.writelines(payload)
-        except OSError as exc:
-            raise WriteFailure(f"cannot write {args.out}: {exc}") from None
-        summary_stream = sys.stdout
-    else:
-        sys.stdout.writelines(payload)
-        summary_stream = sys.stderr
-
     rows = len(block.incomparable)
     incomparable = np.count_nonzero(block.incomparable)
-    summary_stream.write(
+    summary = (
         f"rows={rows} incomparable={incomparable} forward_only={rows - incomparable} "
-        f"no_deleting_universal={'true' if NO_DELETING else 'false'}\n"
+        f"no_deleting_universal={'true' if NO_DELETING else 'false'}"
     )
-    return 0
+    return _report_payload(block, args.format), summary
 
 
-def cmd_threshold(args) -> int:
+def cmd_threshold(args):
     result = find_threshold(args.lo, args.hi, args.tol)
-    _write(
+    return [_record(
         THRESHOLD_FIELDS, ("number", "value", "string", "string", "value"), "json",
         result.alpha_star, _vector(result.bracket, "json"), *map(str, WITNESS_VERDICTS), 1,
-    )
-    return 0
+    )], None
 
 
-def cmd_show_state(args) -> int:
+def cmd_show_state(args):
     pre = build_initial(QubitSpec(args.alpha))
     state = pre if args.which == "initial" else apply_cloner(pre)
     psi = expand(state, args.blank)
@@ -295,16 +282,14 @@ def cmd_show_state(args) -> int:
     fields = None if args.format == "json" else AMP_FIELDS
     row = _template(fields, ("value", "value", "number", "number"), args.format)
     rows = [row.format(*amp) for amp in amps]
-    if args.format == "json":
-        _write(
-            ("dims", "amps", "schmidt"), ("value",) * 3, "json",
-            _vector((psi.dim_a, psi.dim_b), "json"), _array(rows, "json"),
-            _vector(sv.probs, "json"),
-        )
-    else:
-        sys.stdout.write("\n".join([",".join(AMP_FIELDS), *rows]) + "\n")
-        sys.stderr.write("schmidt=" + _vector(sv.probs, "csv") + "\n")
-    return 0
+    if args.format == "csv":
+        report = "\n".join([",".join(AMP_FIELDS), *rows]) + "\n"
+        return [report], "schmidt=" + _vector(sv.probs, "csv")
+    return [_record(
+        ("dims", "amps", "schmidt"), ("value",) * 3, "json",
+        _vector((psi.dim_a, psi.dim_b), "json"), _array(rows, "json"),
+        _vector(sv.probs, "json"),
+    )], None
 
 
 @functools.lru_cache(maxsize=1)
@@ -372,12 +357,31 @@ EXIT_CODES = (
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and write what it returns, the only writes here:
+    the report to --out or stdout, the note to the stream it left free."""
     args = build_parser().parse_args(argv)
+    out = getattr(args, "out", None)
     try:
-        return args.func(args)
+        report, note = args.func(args)
+        target = "stdout" if out is None else out
+        try:
+            if out is None:
+                sys.stdout.writelines(report)
+                sys.stdout.flush()
+                target, note_stream = "stderr", sys.stderr
+            else:
+                with open(out, "w", encoding="utf-8", newline="") as fh:
+                    fh.writelines(report)
+                target, note_stream = "stdout", sys.stdout
+            if note is not None:
+                note_stream.write(note + "\n")
+                note_stream.flush()
+        except OSError as exc:
+            raise WriteFailure(f"cannot write {target}: {exc}") from None
     except tuple(types for types, _ in EXIT_CODES) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return next(code for types, code in EXIT_CODES if isinstance(exc, types))
+    return 0
 
 
 if __name__ == "__main__":

@@ -53,9 +53,6 @@ INITIAL_TERMS = (
     (3, -1, "PPZZ"),
 )
 
-_SIGN_PATTERN = (+1, +1, +1, -1, +1, -1)
-_LEVEL_PATTERN = (1, 1, 2, 2, 3, 3)
-
 BLANK_CHOICES = {
     "zero": (1.0, 0.0),
     "one": (0.0, 1.0),
@@ -122,8 +119,8 @@ class SymbolicState:
     """Six signed branch words, two per Alice level, plus an optional blank.
 
     Words are length 4 while the blank qubit is still attached and length 5
-    after cloning consumed it.  Term signs follow the fixed construction
-    pattern (+, +, +, -, +, -).
+    after cloning consumed it.  Term levels and signs are those of
+    INITIAL_TERMS, in its order.
     """
 
     terms: tuple
@@ -133,17 +130,10 @@ class SymbolicState:
     def __post_init__(self):
         terms = tuple(self.terms)
         object.__setattr__(self, "terms", terms)
-        if len(terms) != 6:
-            raise ValueError("expected exactly 6 branch terms")
-        if tuple(t.alice_level for t in terms) != _LEVEL_PATTERN:
-            raise ValueError("terms must come in level order 1, 1, 2, 2, 3, 3")
-        if tuple(t.sign for t in terms) != _SIGN_PATTERN:
-            raise ValueError("term signs must follow the pattern +, +, +, -, +, -")
-        lengths = {len(t.word) for t in terms}
-        if len(lengths) != 1:
-            raise ValueError("all branch words must have equal length")
+        if [(t.alice_level, t.sign) for t in terms] != [t[:2] for t in INITIAL_TERMS]:
+            raise ValueError("terms must have the six levels and signs of INITIAL_TERMS")
         expected = 4 if self.has_blank else 5
-        if lengths != {expected}:
+        if {len(t.word) for t in terms} != {expected}:
             raise ValueError(
                 f"branch words must have length {expected} when has_blank="
                 f"{self.has_blank}"
@@ -218,8 +208,8 @@ def raw_expansion(state: SymbolicState, blank="zero") -> np.ndarray:
     for k in range(1, table.shape[1]):
         words = (words[..., None] * factors[:, None, k]).reshape(6, 2 ** (k + 1))
     amps = np.zeros((3, words.shape[-1]), dtype=np.complex128)
-    for j, (level, sign) in enumerate(zip(_LEVEL_PATTERN, _SIGN_PATTERN)):
-        amps[level - 1] += sign * words[j]
+    for t, word in zip(state.terms, words):
+        amps[t.alice_level - 1] += t.sign * word
     return amps.reshape(-1)
 
 

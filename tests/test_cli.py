@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+import errno
+import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -397,9 +401,13 @@ class TestPaperVerify:
         assert len(captured.out.splitlines()) == 100
 
     def test_unwritable_out_exits_4(self, capsys):
-        code = main(["paper-verify", "--out", "/no/such/dir/report.csv"])
+        path = "/no/such/dir/report.csv"
+        code = main(["paper-verify", "--out", path])
         assert code == 4
-        assert capsys.readouterr().err.startswith("error:")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {path}: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestThreshold:
@@ -516,6 +524,83 @@ def test_negative_float_values_reach_the_range_checks(command, option, value, ca
     assert str(float(value)) in captured.err
 
 
+# a call of each subcommand, and of each show-state format, that writes to stdout
+WRITING_CALLS = {
+    "analyze": ["analyze", "--schmidt-a", "0.5,0.5", "--schmidt-b", "1"],
+    "paper-verify": ["paper-verify", "--steps", "5"],
+    "threshold": ["threshold", "--lo", "0.3", "--hi", "0.9"],
+    "show-state": ["show-state", "--alpha", "0.5", "--which", "initial"],
+    "show-state-csv": ["show-state", "--alpha", "0.5", "--which", "final",
+                       "--format", "csv"],
+}
+
+
+class FailingStdout(io.TextIOBase):
+    """A stdout whose `method` (write or flush) raises `error`, as a closed
+    pipe or a full disk does."""
+
+    def __init__(self, method, error):
+        self.method, self.error = method, error
+
+    def write(self, text):
+        if self.method == "write":
+            raise self.error
+        return len(text)
+
+    def flush(self):
+        if self.method == "flush":
+            raise self.error
+
+
+def run_on_closed_pipe(command):
+    """Run `command` with stdout on a pipe whose read end is already
+    closed, so its first write to stdout fails with EPIPE."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(command, stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+
+
+EPIPE_LINE = f"error: cannot write stdout: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+
+
+class TestStdoutWriteFailure:
+    """A failed write to stdout is a write failure: exit 4 and one line."""
+
+    @pytest.mark.parametrize("error", [
+        BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)),
+        OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+    ], ids=["broken-pipe", "disk-full"])
+    @pytest.mark.parametrize("method", ["write", "flush"])
+    @pytest.mark.parametrize("name", list(WRITING_CALLS))
+    def test_exits_4_with_one_line(self, name, method, error, capsys):
+        with contextlib.redirect_stdout(FailingStdout(method, error)):
+            code = main(WRITING_CALLS[name])
+        assert code == 4
+        assert capsys.readouterr().err == f"error: cannot write stdout: {error}\n"
+
+    @pytest.mark.parametrize("method", ["write", "flush"])
+    def test_summary_after_a_report_file(self, method, tmp_path, capsys):
+        # with --out the summary line takes stdout, and fails there
+        report = tmp_path / "report.csv"
+        error = BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+        with contextlib.redirect_stdout(FailingStdout(method, error)):
+            code = main(["paper-verify", "--steps", "5", "--out", str(report)])
+        assert code == 4
+        assert capsys.readouterr().err == f"error: cannot write stdout: {error}\n"
+        assert len(report.read_text().splitlines()) == 6
+
+    @pytest.mark.parametrize("name", ["analyze", "paper-verify", "threshold", "show-state"])
+    def test_closed_pipe_through_the_module(self, name):
+        proc = run_on_closed_pipe(
+            [sys.executable, "-m", "locc_audit.cli", *WRITING_CALLS[name]]
+        )
+        assert proc.returncode == 4
+        assert proc.stderr == EPIPE_LINE
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
@@ -546,3 +631,6 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert 0.50 < json.loads(proc.stdout)["alpha_star"] < 0.60
+        closed = run_on_closed_pipe([script, *WRITING_CALLS["paper-verify"]])
+        assert closed.returncode == 4
+        assert closed.stderr == EPIPE_LINE

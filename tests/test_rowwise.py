@@ -11,7 +11,6 @@ band.
 
 from __future__ import annotations
 
-import importlib
 import math
 
 import numpy as np
@@ -24,11 +23,10 @@ from locc_audit import (
     closed_form_initial_spectrum,
     entanglement_entropy,
 )
+import locc_audit.majorization as majorization_module
+import locc_audit.sweep as sweep_module
 from locc_audit import cli
 from locc_audit.majorization import VERDICTS, entropy_rows
-
-sweep_module = importlib.import_module("locc_audit.sweep")
-majorization_module = importlib.import_module("locc_audit.majorization")
 
 # tolerance-edge and band overlaps named in the project's history
 EDGE_ALPHAS = [8e-6, 0.5271653750094808, 0.9999995]

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import importlib
 import json
 import math
 import re
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -29,12 +29,10 @@ from locc_audit import (
     QubitSpec,
     report_row,
     schmidt_vector,
-    sweep,
 )
+import locc_audit.sweep as sweep_module
 from locc_audit.cli import main
-
-# the package exports a function named sweep, so reach the module by path
-sweep_module = importlib.import_module("locc_audit.sweep")
+from locc_audit.sweep import sweep
 
 # the root of the forward gap's factor p, to 20 places (see
 # tests/test_witness_algebra.py)
@@ -88,6 +86,14 @@ class TestClassifyConstruction:
 
 
 class TestSweep:
+    def test_the_package_attribute_is_the_module(self):
+        # attribute writes through this name (monkeypatch) must reach the
+        # module, so the package must not bind its sweep function there
+        import locc_audit.sweep as m
+
+        assert isinstance(m, types.ModuleType)
+        assert m.sweep is sweep
+
     def test_default_grid_rows(self):
         reports = sweep(0.01, 0.99, 99)
         assert len(reports) == 99
