@@ -9,9 +9,11 @@ change in the window, 1 internal inconsistency.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
+import os
 import re
 import sys
 
@@ -377,6 +379,10 @@ def main(argv=None) -> int:
                 note_stream.write(note + "\n")
                 note_stream.flush()
         except OSError as exc:
+            if target == "stdout":  # else the exit flush retries its unwritten bytes
+                with contextlib.suppress(AttributeError, OSError, ValueError):  # no fd
+                    fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+                    os.dup2(devnull, fd)
             raise WriteFailure(f"cannot write {target}: {exc}") from None
     except tuple(types for types, _ in EXIT_CODES) as exc:
         sys.stderr.write(f"error: {exc}\n")

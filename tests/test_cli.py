@@ -552,13 +552,21 @@ class FailingStdout(io.TextIOBase):
             raise self.error
 
 
+def run_with_stdout(command, stdout):
+    """Run `command` with stdout on the descriptor or file `stdout`, and
+    buffered, as by default: PYTHONUNBUFFERED would hide the bytes that stay
+    in its buffer after a failed write and that the flush at exit retries."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+
+
 def run_on_closed_pipe(command):
     """Run `command` with stdout on a pipe whose read end is already
     closed, so its first write to stdout fails with EPIPE."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        return subprocess.run(command, stdout=write_end, stderr=subprocess.PIPE, text=True)
+        return run_with_stdout(command, write_end)
     finally:
         os.close(write_end)
 
@@ -599,6 +607,28 @@ class TestStdoutWriteFailure:
         )
         assert proc.returncode == 4
         assert proc.stderr == EPIPE_LINE
+
+    def test_summary_on_a_closed_pipe_through_the_module(self, tmp_path):
+        # with --out the report is written and the summary fails on stdout
+        report = tmp_path / "report.csv"
+        proc = run_on_closed_pipe([
+            sys.executable, "-m", "locc_audit.cli", "paper-verify", "--steps", "5",
+            "--out", str(report),
+        ])
+        assert proc.returncode == 4
+        assert proc.stderr == EPIPE_LINE
+        assert len(report.read_text().splitlines()) == 6
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device_through_the_module(self):
+        with open("/dev/full", "w") as full:
+            proc = run_with_stdout(
+                [sys.executable, "-m", "locc_audit.cli", *WRITING_CALLS["paper-verify"]], full
+            )
+        assert proc.returncode == 4
+        assert proc.stderr == (
+            f"error: cannot write stdout: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        )
 
 
 class TestEntryPoint:
