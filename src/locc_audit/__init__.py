@@ -40,7 +40,6 @@ from .linalg import (
 )
 from .majorization import (
     FastPathInapplicable,
-    SchmidtVector,
     Verdict,
     classify,
     entanglement_entropy,

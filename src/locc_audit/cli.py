@@ -15,6 +15,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 
 import numpy as np
@@ -27,12 +28,7 @@ from .construction import (
     expand,
 )
 from .linalg import NotNormalizedError, PureState
-from .majorization import (
-    SchmidtVector,
-    classify,
-    entanglement_entropy,
-    schmidt_vector,
-)
+from .majorization import classify, entanglement_entropy, schmidt_vector
 from .sweep import (
     CROSS_CHECK_BLOCK,
     NO_DELETING,
@@ -50,6 +46,9 @@ INLINE_SUM_TOL = 1e-9
 # Largest dim_a * dim_b a state file may declare; checked before any
 # amplitude storage is allocated.
 MAX_AMPLITUDES = 1 << 16
+# Most characters a state file may hold; no more are read.  A full
+# 256 x 256 file written with indent=4 has about 8.1 million.
+MAX_STATE_CHARS = 1 << 26
 
 
 class CliInputError(ValueError):
@@ -99,7 +98,7 @@ def _record(fields, kinds, fmt: str, *values) -> str:
     return head + _template(fields, kinds, fmt).format(*values) + "\n"
 
 
-def parse_inline_schmidt(text: str) -> SchmidtVector:
+def parse_inline_schmidt(text: str) -> tuple:
     """Comma list of weights: finite, nonnegative, summing to 1 within 1e-9.
 
     Accepted vectors are renormalized and sorted descending.
@@ -117,7 +116,7 @@ def parse_inline_schmidt(text: str) -> SchmidtVector:
         total += v
     if abs(total - 1.0) > INLINE_SUM_TOL:
         raise CliInputError(f"Schmidt weights sum to {total}, not 1 within 1e-9")
-    return SchmidtVector(tuple(sorted((v / total for v in values), reverse=True)))
+    return tuple(sorted((v / total for v in values), reverse=True))
 
 
 def load_state_file(path: str) -> PureState:
@@ -128,12 +127,21 @@ def load_state_file(path: str) -> PureState:
     indices that are not JSON integers (a float, a bool or a string), and
     re or im that are not JSON numbers (a bool or a string), are malformed
     input, and so are duplicate or out-of-range indices and dims declaring
-    more than MAX_AMPLITUDES amplitudes; a norm outside the 1e-6 gate is a
+    more than MAX_AMPLITUDES amplitudes, and so is a file longer than
+    MAX_STATE_CHARS characters; a norm outside the 1e-6 gate is a
     normalization failure.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            # read(n) allocates n bytes up front, so a regular file that
+            # cannot pass the limit is read whole, sized by its length, and
+            # only anything else (a device, a pipe) to one character past it
+            info = os.fstat(fh.fileno())
+            small = stat.S_ISREG(info.st_mode) and info.st_size <= MAX_STATE_CHARS
+            text = fh.read(-1 if small else MAX_STATE_CHARS + 1)
+        too_long = len(text) > MAX_STATE_CHARS
+        data = None if too_long else json.loads(text)
+        del text  # as large as the file: not kept while the amplitudes are built
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from None
     # JSONDecodeError, and the other failures to decode: bytes that are not
@@ -141,6 +149,8 @@ def load_state_file(path: str) -> PureState:
     # nesting too deep for the decoder
     except (ValueError, RecursionError) as exc:
         raise CliInputError(f"{path}: invalid JSON: {exc}") from None
+    if too_long:
+        raise CliInputError(f"{path}: longer than {MAX_STATE_CHARS} characters")
 
     try:
         dim_a, dim_b = data["dims"]
@@ -186,7 +196,7 @@ def load_state_file(path: str) -> PureState:
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def _schmidt_side(path, inline) -> SchmidtVector:
+def _schmidt_side(path, inline) -> tuple:
     if path is not None:
         return schmidt_vector(load_state_file(path))
     return parse_inline_schmidt(inline)
@@ -207,8 +217,7 @@ def cmd_analyze(args):
     sv_b = _schmidt_side(args.phi, args.schmidt_b)
     return [_record(
         ANALYZE_FIELDS, ("string", "value", "value", "number", "number"), args.format,
-        str(classify(sv_a, sv_b)), _vector(sv_a.probs, args.format),
-        _vector(sv_b.probs, args.format),
+        str(classify(sv_a, sv_b)), _vector(sv_a, args.format), _vector(sv_b, args.format),
         entanglement_entropy(sv_a), entanglement_entropy(sv_b),
     )], None
 
@@ -286,11 +295,11 @@ def cmd_show_state(args):
     rows = [row.format(*amp) for amp in amps]
     if args.format == "csv":
         report = "\n".join([",".join(AMP_FIELDS), *rows]) + "\n"
-        return [report], "schmidt=" + _vector(sv.probs, "csv")
+        return [report], "schmidt=" + _vector(sv, "csv")
     return [_record(
         ("dims", "amps", "schmidt"), ("value",) * 3, "json",
         _vector((psi.dim_a, psi.dim_b), "json"), _array(rows, "json"),
-        _vector(sv.probs, "json"),
+        _vector(sv, "json"),
     )], None
 
 

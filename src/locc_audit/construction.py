@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import DensityMatrix, PureState
-from .majorization import SchmidtVector
 
 ZERO_SYMBOL = "Z"
 PSI_SYMBOL = "P"
@@ -323,19 +322,19 @@ def final_spectrum_values(alpha):
     return ((1 + a5) / den, (1 + a2) * (1 - a3) / den, (1 - a2) * (1 + a3) / den)
 
 
-def closed_form_initial_spectrum(qubit: QubitSpec) -> SchmidtVector:
+def closed_form_initial_spectrum(qubit: QubitSpec) -> tuple:
     """Descending Schmidt vector of the pre-cloning state from closed form
     (weights positive on (0, 1): sorted, not gated as input)."""
     _require_interior(qubit)
     values = map(float, initial_spectrum_values(qubit.alpha))
-    return SchmidtVector(tuple(sorted(values, reverse=True)))
+    return tuple(sorted(values, reverse=True))
 
 
-def closed_form_final_spectrum(qubit: QubitSpec) -> SchmidtVector:
+def closed_form_final_spectrum(qubit: QubitSpec) -> tuple:
     """Descending Schmidt vector of the post-cloning state from closed form."""
     _require_interior(qubit)
     values = map(float, final_spectrum_values(qubit.alpha))
-    return SchmidtVector(tuple(sorted(values, reverse=True)))
+    return tuple(sorted(values, reverse=True))
 
 
 def _require_interior(qubit: QubitSpec):

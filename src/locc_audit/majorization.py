@@ -7,13 +7,13 @@ source weights stays below the corresponding target partial sum.  On top
 of that single test this module builds the four-way verdict for a pair
 (equivalent, one-way in either direction, or incomparable) and the closed
 three-level shortcut that reads incomparability off the largest and
-smallest weights alone.
+smallest weights alone.  A Schmidt vector is the descending tuple of its
+float weights; every function here also takes any iterable of numbers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -41,23 +41,11 @@ class Verdict(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class SchmidtVector:
-    """Descending probability vector of squared Schmidt coefficients."""
-
-    probs: tuple
-
-    def __len__(self) -> int:
-        return len(self.probs)
-
-
 def _weights(v) -> tuple:
-    if isinstance(v, SchmidtVector):
-        return v.probs
-    return tuple(float(x) for x in v)
+    return tuple(map(float, v))
 
 
-def schmidt_vector(state: PureState) -> SchmidtVector:
+def schmidt_vector(state: PureState) -> tuple:
     """Schmidt vector of a bipartite pure state.
 
     The Schmidt coefficients are the singular values of the dim_a x dim_b
@@ -68,7 +56,7 @@ def schmidt_vector(state: PureState) -> SchmidtVector:
     """
     s = np.linalg.svd(state.amps.reshape(state.dim_a, state.dim_b), compute_uv=False)
     weights = s * s
-    return SchmidtVector(tuple((weights / weights.sum()).tolist()))
+    return tuple((weights / weights.sum()).tolist())
 
 
 def entanglement_entropy(sv) -> float:
@@ -129,6 +117,7 @@ VERDICTS = (
 
 def classify(a, b) -> Verdict:
     """Four-way convertibility verdict for a pair of Schmidt vectors."""
+    a, b = _weights(a), _weights(b)  # each read once: either may be an iterator
     return VERDICTS[2 * (not is_majorized_by(a, b)) + (not is_majorized_by(b, a))]
 
 

@@ -21,7 +21,7 @@ from .construction import (
     initial_spectrum_values,
     witness_gram,
 )
-from .majorization import SchmidtVector, Verdict, entropy_rows
+from .majorization import Verdict, entropy_rows
 
 # The witness pair's exact verdict boundary (Nielsen's majorization
 # criterion on the closed-form spectra): the smallest double above the one
@@ -64,8 +64,8 @@ class InternalInconsistencyError(RuntimeError):
 @dataclass(frozen=True)
 class PairReport:
     alpha: float
-    initial_spectrum: SchmidtVector
-    final_spectrum: SchmidtVector
+    initial_spectrum: tuple
+    final_spectrum: tuple
     verdict: Verdict
     entropy_initial: float
     entropy_final: float
@@ -110,8 +110,8 @@ class WitnessBlock:
         return [
             PairReport(
                 alpha=alpha,
-                initial_spectrum=SchmidtVector(tuple(li)),
-                final_spectrum=SchmidtVector(tuple(lf)),
+                initial_spectrum=tuple(li),
+                final_spectrum=tuple(lf),
                 verdict=WITNESS_VERDICTS[incomparable],
                 entropy_initial=ent_i,
                 entropy_final=ent_f,
@@ -308,8 +308,8 @@ def report_row(report: PairReport) -> dict:
     """Flatten a PairReport into the report row schema."""
     return dict(zip(REPORT_FIELDS, (
         report.alpha,
-        *report.initial_spectrum.probs,
-        *report.final_spectrum.probs,
+        *report.initial_spectrum,
+        *report.final_spectrum,
         str(report.verdict),
         report.entropy_initial,
         report.entropy_final,

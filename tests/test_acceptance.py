@@ -82,14 +82,14 @@ def test_criterion_01_closed_form_fidelity(capsys):
         pre, post = witness_pair(alpha)
         dev_i = np.max(
             np.abs(
-                np.array(schmidt_vector(expand(pre)).probs)
-                - np.array(closed_form_initial_spectrum(q).probs)
+                np.array(schmidt_vector(expand(pre)))
+                - np.array(closed_form_initial_spectrum(q))
             )
         )
         dev_f = np.max(
             np.abs(
-                np.array(schmidt_vector(expand(post)).probs)
-                - np.array(closed_form_final_spectrum(q).probs)
+                np.array(schmidt_vector(expand(post)))
+                - np.array(closed_form_final_spectrum(q))
             )
         )
         worst = max(worst, dev_i, dev_f)
@@ -317,7 +317,7 @@ def test_criterion_10_machines_and_blank(capsys):
     for alpha in (0.4, 0.73):
         state = build_initial(QubitSpec(alpha))
         spectra = [
-            np.array(schmidt_vector(expand(state, blank=b)).probs)
+            np.array(schmidt_vector(expand(state, blank=b)))
             for b in ("zero", "one", "plus")
         ]
         for other in spectra[1:]:

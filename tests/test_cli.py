@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+import locc_audit.cli as cli
 from locc_audit import REPORT_FIELDS
 from locc_audit.cli import MAX_AMPLITUDES, build_parser, main
 from locc_audit.sweep import MAX_STEPS
@@ -324,6 +325,34 @@ class TestStateFileValidation:
         assert out["verdict"] == "Equivalent"
         assert out["schmidt_a"] == [1.0] + [0.0] * (side - 1)
 
+    # a Bell state with a note: its 3 "ψ" are 6 bytes, so the limit counts
+    # characters, not bytes
+    NOTED_BELL = json.dumps(
+        {"dims": [2, 2], "amps": [[0, 0, RT2, 0.0], [1, 1, RT2, 0.0]], "note": "ψψψ"},
+        ensure_ascii=False,
+    )
+
+    @pytest.mark.parametrize("excess, code", [(0, 0), (1, 2)], ids=["at", "past"])
+    def test_length_limit(self, excess, code, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "noted.json"
+        path.write_text(self.NOTED_BELL, encoding="utf-8")
+        limit = len(self.NOTED_BELL) - excess
+        monkeypatch.setattr(cli, "MAX_STATE_CHARS", limit)
+        capsys.readouterr()
+        assert main(["analyze", "--psi", str(path), "--schmidt-b", "1"]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == ""
+            assert captured.err == f"error: {path}: longer than {limit} characters\n"
+        else:
+            assert json.loads(captured.out)["verdict"] == "ForwardOnly"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_endless_file_exits_2_after_the_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_STATE_CHARS", 1000)
+        assert main(["analyze", "--psi", "/dev/zero", "--schmidt-b", "1"]) == 2
+        assert capsys.readouterr().err == "error: /dev/zero: longer than 1000 characters\n"
+
 
 class TestPaperVerify:
     def test_default_grid_csv_report(self, tmp_path, capsys):
@@ -550,6 +579,11 @@ class FailingStdout(io.TextIOBase):
     def flush(self):
         if self.method == "flush":
             raise self.error
+
+    def close(self):
+        # IOBase's finalizer calls close, which flushes: do not raise again there
+        self.method = None
+        super().close()
 
 
 def run_with_stdout(command, stdout):

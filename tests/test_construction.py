@@ -216,7 +216,7 @@ class TestExpansion:
     def test_blank_choice_does_not_change_the_spectrum(self):
         state = build_initial(QubitSpec(0.73))
         spectra = [
-            schmidt_vector(expand(state, blank=b)).probs
+            schmidt_vector(expand(state, blank=b))
             for b in ("zero", "one", "plus")
         ]
         for other in spectra[1:]:
@@ -312,13 +312,13 @@ class TestClosedFormSpectra:
     def test_sorted_wrappers_at_half(self):
         q = QubitSpec(0.5)
         np.testing.assert_allclose(
-            closed_form_initial_spectrum(q).probs,
+            closed_form_initial_spectrum(q),
             [17.0 / 47.0, 15.0 / 47.0, 15.0 / 47.0],
             atol=1e-15,
         )
         # the second closed-form value is the largest here
         np.testing.assert_allclose(
-            closed_form_final_spectrum(q).probs,
+            closed_form_final_spectrum(q),
             [35.0 / 95.0, 33.0 / 95.0, 27.0 / 95.0],
             atol=1e-15,
         )
@@ -339,19 +339,19 @@ class TestClosedFormSpectra:
     def test_small_alpha_limit(self):
         q = QubitSpec(1e-6)
         np.testing.assert_allclose(
-            closed_form_initial_spectrum(q).probs, [1 / 3] * 3, atol=1e-6
+            closed_form_initial_spectrum(q), [1 / 3] * 3, atol=1e-6
         )
         np.testing.assert_allclose(
-            closed_form_final_spectrum(q).probs, [1 / 3] * 3, atol=1e-6
+            closed_form_final_spectrum(q), [1 / 3] * 3, atol=1e-6
         )
 
     def test_large_alpha_limit(self):
         q = QubitSpec(1.0 - 1e-9)
         np.testing.assert_allclose(
-            closed_form_initial_spectrum(q).probs, [1.0, 0.0, 0.0], atol=1e-6
+            closed_form_initial_spectrum(q), [1.0, 0.0, 0.0], atol=1e-6
         )
         np.testing.assert_allclose(
-            closed_form_final_spectrum(q).probs, [1.0, 0.0, 0.0], atol=1e-6
+            closed_form_final_spectrum(q), [1.0, 0.0, 0.0], atol=1e-6
         )
 
     def test_closed_form_matches_numeric_extraction(self):
@@ -360,13 +360,13 @@ class TestClosedFormSpectra:
             initial = build_initial(q)
             final = apply_cloner(initial)
             np.testing.assert_allclose(
-                schmidt_vector(expand(initial)).probs,
-                closed_form_initial_spectrum(q).probs,
+                schmidt_vector(expand(initial)),
+                closed_form_initial_spectrum(q),
                 atol=1e-10,
             )
             np.testing.assert_allclose(
-                schmidt_vector(expand(final)).probs,
-                closed_form_final_spectrum(q).probs,
+                schmidt_vector(expand(final)),
+                closed_form_final_spectrum(q),
                 atol=1e-10,
             )
 

@@ -14,7 +14,6 @@ from locc_audit import (
     FastPathInapplicable,
     PureState,
     QubitSpec,
-    SchmidtVector,
     Verdict,
     build_initial,
     classify,
@@ -34,18 +33,24 @@ def bell_state() -> PureState:
 
 
 class TestSchmidtVector:
+    def test_is_a_descending_tuple_of_floats(self):
+        sv = schmidt_vector(expand(build_initial(QubitSpec(0.5))))
+        assert type(sv) is tuple
+        assert all(type(p) is float for p in sv)
+        assert list(sv) == sorted(sv, reverse=True)
+
     def test_bell(self):
-        np.testing.assert_allclose(schmidt_vector(bell_state()).probs, [0.5, 0.5])
+        np.testing.assert_allclose(schmidt_vector(bell_state()), [0.5, 0.5])
 
     def test_product(self):
         amps = np.zeros((2, 2), dtype=complex)
         amps[0, 1] = 1.0
-        np.testing.assert_allclose(schmidt_vector(PureState(2, 2, amps)).probs, [1.0, 0.0])
+        np.testing.assert_allclose(schmidt_vector(PureState(2, 2, amps)), [1.0, 0.0])
 
     def test_witness_initial_at_half(self):
         sv = schmidt_vector(expand(build_initial(QubitSpec(0.5))))
         np.testing.assert_allclose(
-            sv.probs, [17.0 / 47.0, 15.0 / 47.0, 15.0 / 47.0], atol=1e-12
+            sv, [17.0 / 47.0, 15.0 / 47.0, 15.0 / 47.0], atol=1e-12
         )
 
     def test_length_is_smaller_dimension(self):
@@ -60,14 +65,14 @@ class TestSchmidtVector:
         amps /= np.linalg.norm(amps)
         sv = schmidt_vector(PureState(3, 2, amps))
         assert len(sv) == 2
-        assert sum(sv.probs) == pytest.approx(1.0, abs=1e-10)
+        assert sum(sv) == pytest.approx(1.0, abs=1e-10)
 
     def test_svd_route_is_side_symmetric(self):
         rng = np.random.default_rng(64)
         m = rng.normal(size=(64, 2)) + 1j * rng.normal(size=(64, 2))
         m /= np.linalg.norm(m)
-        tall = schmidt_vector(PureState(64, 2, m)).probs
-        wide = schmidt_vector(PureState(2, 64, m.T)).probs
+        tall = schmidt_vector(PureState(64, 2, m))
+        wide = schmidt_vector(PureState(2, 64, m.T))
         expected = np.linalg.svd(m, compute_uv=False) ** 2
         assert len(tall) == len(wide) == 2
         np.testing.assert_allclose(tall, wide, rtol=0, atol=1e-12)
@@ -81,8 +86,8 @@ class TestSchmidtVector:
         m = np.outer(u, v)
         sv = schmidt_vector(PureState(4, 4, m / np.linalg.norm(m)))
         assert len(sv) == 4
-        assert sv.probs[0] == pytest.approx(1.0, abs=1e-12)
-        assert all(0.0 <= p <= 1e-15 for p in sv.probs[1:])
+        assert sv[0] == pytest.approx(1.0, abs=1e-12)
+        assert all(0.0 <= p <= 1e-15 for p in sv[1:])
 
 
 class TestEntropy:
@@ -117,10 +122,10 @@ class TestIsMajorizedBy:
         assert is_majorized_by((1 / 3, 1 / 3, 1 / 3), (0.5, 0.5))
         assert not is_majorized_by((0.5, 0.5), (1 / 3, 1 / 3, 1 / 3))
 
-    def test_accepts_schmidt_vector_instances(self):
-        a = SchmidtVector((0.5, 0.5))
-        b = SchmidtVector((1.0, 0.0))
-        assert is_majorized_by(a, b)
+    @pytest.mark.parametrize("kind", [tuple, list, np.array, iter])
+    def test_accepts_any_iterable_of_weights(self, kind):
+        assert is_majorized_by(kind((0.5, 0.5)), kind((1.0, 0.0)))
+        assert not is_majorized_by(kind((1.0, 0.0)), kind((0.5, 0.5)))
 
     def test_tolerance_is_absolute(self):
         assert is_majorized_by((0.5 + 5e-11, 0.5 - 5e-11), (0.5, 0.5))
@@ -137,6 +142,13 @@ class TestClassify:
 
     def test_backward_only(self):
         assert classify((1.0, 0.0), (0.5, 0.5)) is Verdict.BACKWARD_ONLY
+
+    @pytest.mark.parametrize("kind", [tuple, list, np.array, iter])
+    def test_reads_each_side_once(self, kind):
+        # an iterator is used up by one reading: classify must not read twice
+        a, b = (0.4, 0.4, 0.2), (0.5, 0.25, 0.25)
+        assert classify(kind(a), kind(b)) is Verdict.INCOMPARABLE
+        assert entanglement_entropy(kind(a)) == entanglement_entropy(a)
 
     def test_incomparable_pair(self):
         got = classify((0.4, 0.4, 0.2), (0.5, 0.25, 0.25))

@@ -61,8 +61,8 @@ def test_closed_form_block_matches_scalar_route():
     for alpha in alphas:
         li = closed_form_initial_spectrum(QubitSpec(alpha))
         lf = closed_form_final_spectrum(QubitSpec(alpha))
-        initial.append(li.probs)
-        final.append(lf.probs)
+        initial.append(li)
+        final.append(lf)
         tolerance_codes.append(VERDICTS.index(classify(li, lf)))
         ent_i.append(entanglement_entropy(li))
         ent_f.append(entanglement_entropy(lf))
@@ -100,7 +100,7 @@ GATE_SPLIT_TRIPLES = [
 
 def _parse_outcome(values):
     try:
-        return cli.parse_inline_schmidt(",".join(map(repr, values))).probs
+        return cli.parse_inline_schmidt(",".join(map(repr, values)))
     except ValueError as exc:
         return str(exc)
 

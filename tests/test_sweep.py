@@ -63,10 +63,10 @@ class TestClassifyConstruction:
 
     def test_spectra_match_closed_forms(self):
         report = classify_construction(0.5)
-        assert report.initial_spectrum.probs == pytest.approx(
+        assert report.initial_spectrum == pytest.approx(
             (17 / 47, 15 / 47, 15 / 47), abs=1e-15
         )
-        assert report.final_spectrum.probs == pytest.approx(
+        assert report.final_spectrum == pytest.approx(
             (35 / 95, 33 / 95, 27 / 95), abs=1e-15
         )
 
@@ -333,5 +333,5 @@ class TestCrossCheck:
                 state = build_initial(QubitSpec(alpha))
                 if cloned:
                     state = apply_cloner(state)
-                want = schmidt_vector(expand(state)).probs
+                want = schmidt_vector(expand(state))
                 assert np.abs(np.subtract(got, want)).max() <= 1e-14
