@@ -4,7 +4,6 @@ verification sweep over the no-cloning/no-deleting witness construction."""
 from .construction import (
     BLANK_CHOICES,
     INITIAL_TERMS,
-    BranchTerm,
     DegenerateOverlapError,
     MachineDomainError,
     MissingBlankError,

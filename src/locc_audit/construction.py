@@ -13,9 +13,10 @@ qubit |psi> = alpha |0> + beta |1>:
 A hypothetical exact cloner (|0>|b> -> |0>|0>, |psi>|b> -> |psi>|psi>)
 acting on Bob's fourth qubit and the blank duplicates the fourth symbol of
 every word; the matching exact deleter (|00> -> |0>|b>, |psi psi> ->
-|psi>|b>) removes the copy again.  Both machines act term by term on the
-branch words, which is the only domain on which they are defined, so they
-are represented here as word substitutions rather than linear maps.
+|psi>|b>) removes the copy again.  Both machines are word substitutions
+on Bob's branch words, the only domain where they are defined, so a state
+is its six words and the overlap qubit: word k keeps the level and sign of
+INITIAL_TERMS[k], and 4-letter words still carry the blank.
 
 Because every pairwise overlap of branch words is a power of alpha, the
 3x3 reduced state on Alice's side has entries polynomial in alpha and is
@@ -41,7 +42,7 @@ from .linalg import DensityMatrix, PureState
 ZERO_SYMBOL = "Z"
 PSI_SYMBOL = "P"
 
-# (alice_level, sign, word) rows of the pre-cloning state; the blank qubit
+# (Alice level, sign, word) rows of the pre-cloning state; the blank qubit
 # is held separately and appended on expansion.
 INITIAL_TERMS = (
     (1, +1, "ZPZP"),
@@ -91,73 +92,46 @@ class QubitSpec:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         object.__setattr__(self, "beta", math.sqrt(max(0.0, 1.0 - a * a)))
 
-    @property
-    def alpha_float(self) -> float:
-        return float(self.alpha)
-
-
-@dataclass(frozen=True)
-class BranchTerm:
-    """One signed word attached to an Alice qutrit level."""
-
-    alice_level: int
-    sign: int
-    word: str
-
-    def __post_init__(self):
-        if self.alice_level not in (1, 2, 3):
-            raise ValueError("alice_level must be 1, 2 or 3")
-        if self.sign not in (+1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if not self.word or any(c not in (ZERO_SYMBOL, PSI_SYMBOL) for c in self.word):
-            raise ValueError(f"word must be non-empty over {{Z, P}}, got {self.word!r}")
-
 
 @dataclass(frozen=True)
 class SymbolicState:
-    """Six signed branch words, two per Alice level, plus an optional blank.
+    """Six branch words over {Z, P} and the overlap qubit they are read at.
 
-    Words are length 4 while the blank qubit is still attached and length 5
-    after cloning consumed it.  Term levels and signs are those of
-    INITIAL_TERMS, in its order.
+    Word k carries the Alice level and sign of INITIAL_TERMS[k].  The words
+    share one length: 4 while the blank qubit is still attached, 5 after
+    cloning consumed it.  Any iterable of words is stored as a tuple.
     """
 
-    terms: tuple
-    has_blank: bool
+    words: tuple
     qubit: QubitSpec
 
     def __post_init__(self):
-        terms = tuple(self.terms)
-        object.__setattr__(self, "terms", terms)
-        if [(t.alice_level, t.sign) for t in terms] != [t[:2] for t in INITIAL_TERMS]:
-            raise ValueError("terms must have the six levels and signs of INITIAL_TERMS")
-        expected = 4 if self.has_blank else 5
-        if {len(t.word) for t in terms} != {expected}:
-            raise ValueError(
-                f"branch words must have length {expected} when has_blank="
-                f"{self.has_blank}"
-            )
+        words = tuple(self.words)
+        object.__setattr__(self, "words", words)
+        if len(words) != len(INITIAL_TERMS):
+            raise ValueError(f"a state has six branch words, got {len(words)}")
+        for w in words:
+            if not isinstance(w, str) or w.strip(ZERO_SYMBOL + PSI_SYMBOL):
+                raise ValueError(f"branch word must be a string over {{Z, P}}, got {w!r}")
+        if {len(w) for w in words} not in ({4}, {5}):
+            raise ValueError(f"branch words must share one length, 4 or 5, got {words}")
 
     @property
-    def word_length(self) -> int:
-        return len(self.terms[0].word)
+    def has_blank(self) -> bool:
+        return len(self.words[0]) == 4
 
 
 def build_initial(qubit: QubitSpec) -> SymbolicState:
     """The pre-cloning witness state for a strictly interior overlap."""
     _require_interior(qubit)
-    terms = tuple(BranchTerm(lvl, sign, word) for lvl, sign, word in INITIAL_TERMS)
-    return SymbolicState(terms=terms, has_blank=True, qubit=qubit)
+    return SymbolicState(words=[w for _, _, w in INITIAL_TERMS], qubit=qubit)
 
 
 def apply_cloner(state: SymbolicState) -> SymbolicState:
     """Duplicate the fourth symbol of every word, consuming the blank."""
     if not state.has_blank:
         raise MissingBlankError("cloner needs the blank qubit, already consumed")
-    terms = tuple(
-        BranchTerm(t.alice_level, t.sign, t.word + t.word[3]) for t in state.terms
-    )
-    return SymbolicState(terms=terms, has_blank=False, qubit=state.qubit)
+    return SymbolicState(words=[w + w[3] for w in state.words], qubit=state.qubit)
 
 
 def apply_deleter(state: SymbolicState) -> SymbolicState:
@@ -169,15 +143,12 @@ def apply_deleter(state: SymbolicState) -> SymbolicState:
     """
     if state.has_blank:
         raise MachineDomainError("deleter needs a 5-symbol state without blank")
-    for t in state.terms:
-        if t.word[-1] != t.word[-2]:
+    for w in state.words:
+        if w[-1] != w[-2]:
             raise MachineDomainError(
-                f"deleter undefined on word {t.word!r}: last two symbols differ"
+                f"deleter undefined on word {w!r}: last two symbols differ"
             )
-    terms = tuple(
-        BranchTerm(t.alice_level, t.sign, t.word[:-1]) for t in state.terms
-    )
-    return SymbolicState(terms=terms, has_blank=True, qubit=state.qubit)
+    return SymbolicState(words=[w[:-1] for w in state.words], qubit=state.qubit)
 
 
 def blank_state(choice: str) -> np.ndarray:
@@ -199,7 +170,7 @@ def raw_expansion(state: SymbolicState, blank="zero") -> np.ndarray:
     """
     symbols = np.empty((3, 2), dtype=np.complex128)  # Z, P, blank
     symbols[0] = (1.0, 0.0)
-    symbols[1] = (state.qubit.alpha_float, state.qubit.beta)
+    symbols[1] = (float(state.qubit.alpha), state.qubit.beta)
     symbols[_BLANK_CODE] = blank_state(blank)
     table = _word_table(state)
     factors = symbols[table]  # (6, L, 2)
@@ -207,8 +178,8 @@ def raw_expansion(state: SymbolicState, blank="zero") -> np.ndarray:
     for k in range(1, table.shape[1]):
         words = (words[..., None] * factors[:, None, k]).reshape(6, 2 ** (k + 1))
     amps = np.zeros((3, words.shape[-1]), dtype=np.complex128)
-    for t, word in zip(state.terms, words):
-        amps[t.alice_level - 1] += t.sign * word
+    for (level, sign, _), word in zip(INITIAL_TERMS, words):
+        amps[level - 1] += sign * word
     return amps.reshape(-1)
 
 
@@ -219,7 +190,7 @@ _SYMBOL_CODES = {ZERO_SYMBOL: 0, PSI_SYMBOL: 1}
 def _word_table(state: SymbolicState) -> np.ndarray:
     """(6, L) symbol codes of the branch words: 0 = Z, 1 = P, 2 = the blank."""
     tail = [_BLANK_CODE] if state.has_blank else []
-    return np.array([[_SYMBOL_CODES[c] for c in t.word] + tail for t in state.terms])
+    return np.array([[_SYMBOL_CODES[c] for c in w] + tail for w in state.words])
 
 
 def expand(state: SymbolicState, blank="zero") -> PureState:
@@ -238,11 +209,11 @@ def _gram_tensor(state: SymbolicState) -> np.ndarray:
     sum over d of alpha^d C[d].  The blank is shared by every word and
     drops out.
     """
-    tensor = np.zeros((state.word_length + 1, 3, 3), dtype=np.int64)
-    for t in state.terms:
-        for u in state.terms:
-            d = sum(x != y for x, y in zip(t.word, u.word))
-            tensor[d, t.alice_level - 1, u.alice_level - 1] += t.sign * u.sign
+    rows = [(lvl - 1, sign, w) for (lvl, sign, _), w in zip(INITIAL_TERMS, state.words)]
+    tensor = np.zeros((len(state.words[0]) + 1, 3, 3), dtype=np.int64)
+    for j, s, w in rows:
+        for k, t, u in rows:
+            tensor[sum(x != y for x, y in zip(w, u)), j, k] += s * t
     return tensor
 
 
@@ -338,7 +309,7 @@ def closed_form_final_spectrum(qubit: QubitSpec) -> tuple:
 
 
 def _require_interior(qubit: QubitSpec):
-    a = qubit.alpha_float
+    a = float(qubit.alpha)
     if a <= 0.0 or a >= 1.0:
         raise DegenerateOverlapError(
             f"overlap alpha={a} is degenerate: need 0 < alpha < 1"

@@ -8,7 +8,8 @@ of that single test this module builds the four-way verdict for a pair
 (equivalent, one-way in either direction, or incomparable) and the closed
 three-level shortcut that reads incomparability off the largest and
 smallest weights alone.  A Schmidt vector is the descending tuple of its
-float weights; every function here also takes any iterable of numbers.
+finite float weights; every function here also takes any iterable of
+numbers, and a NaN or infinite weight raises ValueError.
 """
 
 from __future__ import annotations
@@ -42,7 +43,11 @@ class Verdict(Enum):
 
 
 def _weights(v) -> tuple:
-    return tuple(map(float, v))
+    weights = tuple(map(float, v))
+    if not all(map(math.isfinite, weights)):
+        bad = next(w for w in weights if not math.isfinite(w))
+        raise ValueError(f"Schmidt weights must be finite, got {bad}")
+    return weights
 
 
 def schmidt_vector(state: PureState) -> tuple:

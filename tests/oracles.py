@@ -16,6 +16,8 @@ from fractions import Fraction
 import numpy as np
 import sympy as sp
 
+from locc_audit import INITIAL_TERMS
+
 
 def exact_classify(a, b) -> str:
     """Four-way LOCC verdict from exact partial sums.
@@ -59,7 +61,7 @@ def _qubit(symbol: str, alpha: sp.Rational):
 def sympy_reduced_density(terms, has_blank: bool, alpha: Fraction) -> sp.Matrix:
     """Exact normalized 3x3 reduced state via full tensor expansion.
 
-    terms: iterable of (alice_level, sign, word) with levels in {1, 2, 3}.
+    terms: iterable of (level, sign, word) with Alice levels in {1, 2, 3}.
     The blank register, when present, is |0>.
     """
     a = sp.Rational(alpha.numerator, alpha.denominator)
@@ -104,18 +106,18 @@ def kron_chain_expansion(state, blank) -> np.ndarray:
     from [1], then the blank 2-vector while the state still carries it,
     and the signed words are summed per Alice level in term order.
     """
-    alpha, beta = state.qubit.alpha_float, state.qubit.beta
+    alpha, beta = float(state.qubit.alpha), state.qubit.beta
     symbol_vecs = {
         "Z": np.array([1.0, 0.0], dtype=np.complex128),
         "P": np.array([alpha, beta], dtype=np.complex128),
     }
-    width = 2 ** (state.word_length + (1 if state.has_blank else 0))
+    width = 2 ** (len(state.words[0]) + (1 if state.has_blank else 0))
     amps = np.zeros((3, width), dtype=np.complex128)
-    for t in state.terms:
+    for (level, sign, _), word in zip(INITIAL_TERMS, state.words):
         vec = np.array([1.0], dtype=np.complex128)
-        for sym in t.word:
+        for sym in word:
             vec = np.kron(vec, symbol_vecs[sym])
         if state.has_blank:
             vec = np.kron(vec, np.asarray(blank, dtype=np.complex128))
-        amps[t.alice_level - 1] += t.sign * vec
+        amps[level - 1] += sign * vec
     return amps.reshape(-1)

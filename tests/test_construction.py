@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locc_audit import (
     BLANK_CHOICES,
     INITIAL_TERMS,
-    BranchTerm,
     DegenerateOverlapError,
     MachineDomainError,
     MissingBlankError,
@@ -43,17 +44,18 @@ from oracles import (
 
 ALPHAS = [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99]
 KRON_ALPHAS = [Fraction(1, 2), 1e-3, 0.3, 0.8, 0.999]
+WITNESS_WORDS = tuple(word for _, _, word in INITIAL_TERMS)
 
 
 def term_rows(state: SymbolicState):
-    return [(t.alice_level, t.sign, t.word) for t in state.terms]
+    return [(lvl, sign, w) for (lvl, sign, _), w in zip(INITIAL_TERMS, state.words)]
 
 
 class TestQubitSpec:
     def test_beta_derived_from_alpha(self):
         q = QubitSpec(0.6)
         assert q.beta == pytest.approx(0.8, abs=1e-12)
-        assert q.alpha_float**2 + q.beta**2 == pytest.approx(1.0, abs=1e-12)
+        assert float(q.alpha) ** 2 + q.beta**2 == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("alpha", [-0.1, 1.5])
     def test_out_of_range_alpha_rejected(self, alpha):
@@ -67,15 +69,15 @@ class TestQubitSpec:
     def test_fraction_alpha_preserved(self):
         q = QubitSpec(Fraction(1, 2))
         assert q.alpha == Fraction(1, 2)
-        assert q.alpha_float == 0.5
+        assert float(q.alpha) == 0.5
 
 
 class TestBuildInitial:
     def test_word_table(self):
         state = build_initial(QubitSpec(0.5))
         assert term_rows(state) == list(INITIAL_TERMS)
+        assert state.words == WITNESS_WORDS
         assert state.has_blank is True
-        assert state.word_length == 4
 
     def test_structure_is_alpha_independent(self):
         a = build_initial(QubitSpec(0.5))
@@ -89,37 +91,34 @@ class TestBuildInitial:
 
 
 class TestSymbolicStateInvariants:
-    def test_wrong_sign_pattern_rejected(self):
-        terms = tuple(
-            BranchTerm(lvl, +1, word) for lvl, _, word in INITIAL_TERMS
-        )
-        with pytest.raises(ValueError):
-            SymbolicState(terms=terms, has_blank=True, qubit=QubitSpec(0.5))
-
     def test_wrong_term_count_rejected(self):
-        terms = tuple(
-            BranchTerm(lvl, sign, word) for lvl, sign, word in INITIAL_TERMS[:5]
-        )
-        with pytest.raises(ValueError):
-            SymbolicState(terms=terms, has_blank=True, qubit=QubitSpec(0.5))
+        with pytest.raises(ValueError, match="six branch words"):
+            SymbolicState(words=WITNESS_WORDS[:5], qubit=QubitSpec(0.5))
 
-    def test_mixed_word_lengths_rejected(self):
-        rows = [list(r) for r in INITIAL_TERMS]
-        rows[0][2] = "ZPZPP"
-        terms = tuple(BranchTerm(lvl, sign, word) for lvl, sign, word in rows)
-        with pytest.raises(ValueError):
-            SymbolicState(terms=terms, has_blank=True, qubit=QubitSpec(0.5))
+    def test_mixed_lengths_rejected(self):
+        words = ("ZPZPP",) + WITNESS_WORDS[1:]
+        with pytest.raises(ValueError, match="one length"):
+            SymbolicState(words=words, qubit=QubitSpec(0.5))
 
-    def test_word_length_must_match_blank_flag(self):
-        terms = tuple(
-            BranchTerm(lvl, sign, word) for lvl, sign, word in INITIAL_TERMS
-        )
-        with pytest.raises(ValueError):
-            SymbolicState(terms=terms, has_blank=False, qubit=QubitSpec(0.5))
+    @pytest.mark.parametrize("length", [0, 3, 6])
+    def test_words_must_have_four_or_five_letters(self, length):
+        words = ["ZPZPZP"[:length]] * 6
+        with pytest.raises(ValueError, match="one length"):
+            SymbolicState(words=words, qubit=QubitSpec(0.5))
 
     def test_bad_symbol_rejected(self):
-        with pytest.raises(ValueError):
-            BranchTerm(1, +1, "ZPXQ")
+        for word in ("ZPXQ", "zpzp", "ZP P", ["Z", "P", "Z", "P"], 1234):
+            with pytest.raises(ValueError, match="string over"):
+                SymbolicState(words=(word,) + WITNESS_WORDS[1:], qubit=QubitSpec(0.5))
+
+    def test_any_iterable_of_words_is_stored_as_the_tuple(self):
+        q = QubitSpec(0.5)
+        state = SymbolicState(words=WITNESS_WORDS, qubit=q)
+        for words in (list(WITNESS_WORDS), iter(WITNESS_WORDS)):
+            other = SymbolicState(words=words, qubit=q)
+            assert other.words == WITNESS_WORDS
+            assert other == state
+            assert hash(other) == hash(state)
 
 
 class TestMachines:
@@ -145,16 +144,8 @@ class TestMachines:
         assert apply_deleter(apply_cloner(initial)) == initial
 
     def test_deleter_rejects_mismatched_tail(self):
-        rows = [
-            (1, +1, "ZPZPZ"),
-            (1, +1, "PZPZZ"),
-            (2, +1, "ZPPZZ"),
-            (2, -1, "PZZPP"),
-            (3, +1, "ZZPPP"),
-            (3, -1, "PPZZZ"),
-        ]
-        terms = tuple(BranchTerm(lvl, sign, word) for lvl, sign, word in rows)
-        state = SymbolicState(terms=terms, has_blank=False, qubit=QubitSpec(0.5))
+        words = ("ZPZPZ", "PZPZZ", "ZPPZZ", "PZZPP", "ZZPPP", "PPZZZ")
+        state = SymbolicState(words=words, qubit=QubitSpec(0.5))
         with pytest.raises(MachineDomainError):
             apply_deleter(state)
 
@@ -250,6 +241,41 @@ class TestExpansion:
             assert witness_gram([], cloned=cloned).shape == (0, 3, 3)
 
 
+WORDS = st.lists(st.text("ZP", min_size=4, max_size=4), min_size=6, max_size=6)
+OVERLAPS = st.one_of(
+    st.fractions(min_value=0, max_value=1, max_denominator=1000),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(words=WORDS, tails=st.text("ZP", min_size=6, max_size=6), alpha=OVERLAPS)
+def test_machines_and_numeric_routes_on_any_word_table(words, tails, alpha):
+    """The machines and both numeric routes hold on every word table, not
+    only the witness: each table and its clone expand to the np.kron
+    chain's bits, and the Gram route agrees with the expansion."""
+    pre = SymbolicState(words=words, qubit=QubitSpec(alpha))
+    assert apply_deleter(apply_cloner(pre)) == pre
+    five = SymbolicState(words=[w + t for w, t in zip(words, tails)], qubit=pre.qubit)
+    if any(w[-1] != w[-2] for w in five.words):
+        with pytest.raises(MachineDomainError):
+            apply_deleter(five)
+    else:
+        assert apply_deleter(five).words == tuple(w[:-1] for w in five.words)
+    for state in (pre, apply_cloner(pre), five):
+        for blank in sorted(BLANK_CHOICES):
+            ref = kron_chain_expansion(state, blank_state(blank))
+            assert raw_expansion(state, blank).tobytes() == ref.tobytes()
+        raw = raw_expansion(state)
+        assert float(normalizer(state)) == pytest.approx(np.vdot(raw, raw).real, abs=1e-12)
+        np.testing.assert_allclose(
+            gram_reduced_density(state).entries,
+            partial_trace_b(expand(state)).entries,
+            rtol=0,
+            atol=1e-12,
+        )
+
+
 class TestReducedDensity:
     def test_initial_structure_on_grid(self):
         for alpha in ALPHAS:
@@ -285,10 +311,7 @@ class TestReducedDensity:
     def test_orthogonal_symbol_limit_bypassing_the_gate(self):
         # at alpha = 0 the six branches are orthogonal and the reduction
         # is maximally mixed; only the oracle path may go there
-        terms = tuple(
-            BranchTerm(lvl, sign, word) for lvl, sign, word in INITIAL_TERMS
-        )
-        state = SymbolicState(terms=terms, has_blank=True, qubit=QubitSpec(Fraction(0)))
+        state = SymbolicState(words=WITNESS_WORDS, qubit=QubitSpec(Fraction(0)))
         gram = branch_gram(state)
         assert gram == [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
         np.testing.assert_array_equal(

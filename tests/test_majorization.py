@@ -188,6 +188,29 @@ class TestFastPath:
             incomparable_fast_path_d3((0.6, 0.4), (0.5, 0.3, 0.2))
 
 
+class TestNonFiniteWeights:
+    """A NaN or infinite weight has no place in a partial-sum order, so
+    every function that reads weights rejects it instead of a verdict."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_every_weight_reader_rejects_it(self, bad):
+        calls = [
+            lambda: classify((bad, 0.5), (1.0, 0.0)),
+            lambda: classify((1.0, 0.0), [0.5, bad]),
+            lambda: is_majorized_by((bad,), (1.0,)),
+            lambda: is_majorized_by((1.0,), iter([bad])),
+            lambda: entanglement_entropy((bad, 1.0)),
+            lambda: incomparable_fast_path_d3((0.5, 0.3, 0.2), (0.6, bad, 0.1)),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"must be finite, got {bad}"):
+                call()
+
+    def test_first_non_finite_weight_is_named(self):
+        with pytest.raises(ValueError, match="got -inf"):
+            is_majorized_by((0.5, -math.inf, math.nan), (1.0,))
+
+
 class TestPairProperties:
     """Seeded ensemble checks; the acceptance suite reruns the big ones."""
 
