@@ -168,29 +168,19 @@ def raw_expansion(state: SymbolicState, blank="zero") -> np.ndarray:
     the result is the construction normalizer 2(3 - alpha^4) with the
     blank attached, 2(3 - alpha^5) after cloning.
     """
-    symbols = np.empty((3, 2), dtype=np.complex128)  # Z, P, blank
-    symbols[0] = (1.0, 0.0)
-    symbols[1] = (float(state.qubit.alpha), state.qubit.beta)
-    symbols[_BLANK_CODE] = blank_state(blank)
-    table = _word_table(state)
-    factors = symbols[table]  # (6, L, 2)
+    blank_vector = blank_state(blank)  # checked even once cloning consumed it
+    psi = (float(state.qubit.alpha), state.qubit.beta)
+    symbols = {ZERO_SYMBOL: (1.0, 0.0), PSI_SYMBOL: psi}
+    tail = [blank_vector] if state.has_blank else []
+    rows = [[symbols[c] for c in w] + tail for w in state.words]
+    factors = np.array(rows, dtype=np.complex128)  # (6, L, 2)
     words = factors[:, 0]
-    for k in range(1, table.shape[1]):
+    for k in range(1, factors.shape[1]):
         words = (words[..., None] * factors[:, None, k]).reshape(6, 2 ** (k + 1))
     amps = np.zeros((3, words.shape[-1]), dtype=np.complex128)
     for (level, sign, _), word in zip(INITIAL_TERMS, words):
         amps[level - 1] += sign * word
     return amps.reshape(-1)
-
-
-_BLANK_CODE = 2
-_SYMBOL_CODES = {ZERO_SYMBOL: 0, PSI_SYMBOL: 1}
-
-
-def _word_table(state: SymbolicState) -> np.ndarray:
-    """(6, L) symbol codes of the branch words: 0 = Z, 1 = P, 2 = the blank."""
-    tail = [_BLANK_CODE] if state.has_blank else []
-    return np.array([[_SYMBOL_CODES[c] for c in w] + tail for w in state.words])
 
 
 def expand(state: SymbolicState, blank="zero") -> PureState:

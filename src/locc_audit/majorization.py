@@ -9,7 +9,8 @@ of that single test this module builds the four-way verdict for a pair
 three-level shortcut that reads incomparability off the largest and
 smallest weights alone.  A Schmidt vector is the descending tuple of its
 finite float weights; every function here also takes any iterable of
-numbers, and a NaN or infinite weight raises ValueError.
+numbers (the majorization test sorts them, the shortcut requires them
+sorted), and a NaN or infinite weight raises ValueError.
 """
 
 from __future__ import annotations
@@ -94,10 +95,11 @@ def is_majorized_by(a, b) -> bool:
     """Whether every partial sum of a stays within ATOL below b's.
 
     True means the state carrying Schmidt vector a converts to the one
-    carrying b deterministically.  The shorter vector is zero-padded.
+    carrying b deterministically.  Each side is sorted descending first
+    and the shorter one zero-padded.
     """
-    pa = list(_weights(a))
-    pb = list(_weights(b))
+    pa = sorted(_weights(a), reverse=True)
+    pb = sorted(_weights(b), reverse=True)
     n = max(len(pa), len(pb))
     pa += [0.0] * (n - len(pa))
     pb += [0.0] * (n - len(pb))

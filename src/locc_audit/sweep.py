@@ -142,31 +142,11 @@ def classify_construction(alpha) -> PairReport:
 def classify_block(alphas) -> WitnessBlock:
     """The witness pair at a list of overlaps, classified as one block.
 
-    Each row comes from the closed-form spectra of its overlap alone, and
-    its verdict from the overlap's side of R; the whole list then goes
-    through the numeric route as stacked Gram matrices (see _cross_check).
+    Each row holds the cross-checked closed-form spectra of its overlap
+    alone (see _checked_spectra), the verdict of the overlap's side of R,
+    and the entropies of its weights.
     """
-    block = _witness_block(alphas)
-    _cross_check(block.alphas, block.initial, block.final)
-    return block
-
-
-def _witness_block(alphas) -> WitnessBlock:
-    """Closed-form rows for a list of overlaps.
-
-    The six spectrum values of each overlap are scalar Python arithmetic on
-    the caller's own numbers (numpy's vectorized powers and log2 may round
-    differently, and a Fraction stays exact); the sort and the entropies
-    then run on (n, 3) arrays and give every row's doubles bit for bit.
-    """
-    alphas = list(alphas)
-    doubles = np.array(alphas, dtype=np.float64)
-    outside = ~((doubles > 0.0) & (doubles < 1.0))
-    if outside.any():
-        # the scalar route raises the [0, 1] or degenerate-overlap error
-        closed_form_initial_spectrum(QubitSpec(alphas[int(np.argmax(outside))]))
-    initial = _spectrum_rows(initial_spectrum_values, alphas)
-    final = _spectrum_rows(final_spectrum_values, alphas)
+    doubles, initial, final = _checked_spectra(alphas)
     return WitnessBlock(
         alphas=doubles,
         initial=initial,
@@ -177,29 +157,34 @@ def _witness_block(alphas) -> WitnessBlock:
     )
 
 
-def _spectrum_rows(values, alphas) -> np.ndarray:
-    # positive on (0, 1) and held to the numeric route by _cross_check:
-    # sorted descending, not gated as input
-    flat = np.fromiter((v for a in alphas for v in values(a)), np.float64, 3 * len(alphas))
-    return np.sort(flat.reshape(-1, 3))[:, ::-1]
+def _checked_spectra(alphas) -> tuple:
+    """The overlaps as doubles and their (n, 3) descending closed-form
+    initial and final weights, held to the numeric route.
 
-
-def _cross_check(alphas, initial, final):
-    """Recompute every overlap's weights by the numeric route.
-
-    The witness pair's branch Gram matrices are reduced to Schmidt
-    weights for CROSS_CHECK_BLOCK overlaps at a time.  The first overlap,
-    in list order, where a descending numeric weight differs from the
-    closed-form one (the (n, 3) rows of initial and final) by more than
-    ROUTE_GAP raises InternalInconsistencyError.  Weights, not verdicts,
-    are compared: the verdicts come from R alone.
+    The six spectrum values of each overlap are scalar Python arithmetic on
+    the caller's own numbers (numpy's vectorized powers may round
+    differently, and a Fraction stays exact).  An overlap outside (0, 1)
+    raises the scalar route's error first.  The branch Gram matrices are
+    then reduced to Schmidt weights CROSS_CHECK_BLOCK overlaps at a time;
+    the first overlap, in list order, where a numeric weight differs from
+    the closed-form one by more than ROUTE_GAP raises
+    InternalInconsistencyError.  Weights, not verdicts, are compared: the
+    verdicts come from R alone.
     """
-    for start in range(0, len(alphas), CROSS_CHECK_BLOCK):
-        chunk = alphas[start:start + CROSS_CHECK_BLOCK]
-        part = slice(start, start + len(chunk))
+    alphas = list(alphas)
+    doubles = np.array(alphas, dtype=np.float64)
+    outside = ~((doubles > 0.0) & (doubles < 1.0))
+    if outside.any():
+        # the scalar route raises the [0, 1] or degenerate-overlap error
+        closed_form_initial_spectrum(QubitSpec(alphas[int(np.argmax(outside))]))
+    initial = _spectrum_rows(initial_spectrum_values, alphas)
+    final = _spectrum_rows(final_spectrum_values, alphas)
+    for start in range(0, len(doubles), CROSS_CHECK_BLOCK):
+        rows = slice(start, start + CROSS_CHECK_BLOCK)
+        chunk = doubles[rows]
         gap = np.maximum(
-            np.abs(_numeric_spectra(chunk, cloned=False) - initial[part]),
-            np.abs(_numeric_spectra(chunk, cloned=True) - final[part]),
+            np.abs(_numeric_spectra(chunk, cloned=False) - initial[rows]),
+            np.abs(_numeric_spectra(chunk, cloned=True) - final[rows]),
         ).max(axis=1)
         off = ~(gap <= ROUTE_GAP)
         if off.any():
@@ -208,6 +193,14 @@ def _cross_check(alphas, initial, final):
                 f"alpha={float(chunk[k])}: closed-form and numeric weights differ "
                 f"by {gap[k]:.3g}, more than {ROUTE_GAP:g}"
             )
+    return doubles, initial, final
+
+
+def _spectrum_rows(values, alphas) -> np.ndarray:
+    # positive on (0, 1) and held to the numeric route: sorted descending,
+    # not gated as input
+    flat = np.fromiter((v for a in alphas for v in values(a)), np.float64, 3 * len(alphas))
+    return np.sort(flat.reshape(-1, 3))[:, ::-1]
 
 
 def _numeric_spectra(alphas, *, cloned: bool) -> np.ndarray:
@@ -269,12 +262,7 @@ def find_threshold(lo: float, hi: float, tol: float) -> ThresholdResult:
                 a = mid
             else:
                 b = mid
-    checked = points + midpoints
-    _cross_check(
-        checked,
-        _spectrum_rows(initial_spectrum_values, checked),
-        _spectrum_rows(final_spectrum_values, checked),
-    )
+    _checked_spectra(points + midpoints)
     if not crossing:
         raise NonMonotoneBoundaryError(
             f"expected exactly one verdict change on [{lo}, {hi}], found 0"

@@ -254,6 +254,22 @@ class TestStateFileValidation:
         assert main(["analyze", "--psi", str(path), "--schmidt-b", "1"]) == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
+    @pytest.mark.parametrize("doc, message", [
+        ('{"dims": [0, 2], "amps": []}', "dims must be positive\n"),
+        ('{"dims": [1, 1], "amps": {"0": 1}}', "amps must be a list\n"),
+        # CPython's unpacking text ends these two lines
+        ('{"dims": [1, 1], "amps": [[0, 0, 1]]}', "bad amplitude entry [0, 0, 1]: "),
+        ('{"dims": [1, 1], "amps": [5]}', "bad amplitude entry 5: "),
+    ], ids=["zero-dim", "amps-object", "three-item-entry", "non-list-entry"])
+    def test_malformed_layout_exits_2(self, doc, message, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_text(doc)
+        capsys.readouterr()
+        assert main(["analyze", "--psi", str(path), "--schmidt-b", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
     def test_overflowing_norm_prints_one_line(self, tmp_path):
         # the squared norm overflows inside numpy, whose warning must not
         # reach stderr ahead of the error line

@@ -219,6 +219,14 @@ class TestExpansion:
         b = expand(final, blank="one")
         np.testing.assert_array_equal(a.amps, b.amps)
 
+    def test_unknown_blank_rejected_before_and_after_cloning(self):
+        # the cloned state has no blank left, but the name is still checked
+        initial = build_initial(QubitSpec(0.5))
+        for state in (initial, apply_cloner(initial)):
+            for build in (expand, raw_expansion):
+                with pytest.raises(ValueError, match="unknown blank state"):
+                    build(state, blank="bogus")
+
 
     @pytest.mark.parametrize("alpha", KRON_ALPHAS)
     def test_bit_identical_to_kron_chain(self, alpha):

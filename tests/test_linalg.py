@@ -95,6 +95,10 @@ class TestPureState:
         with pytest.raises(ShapeError):
             PureState(2, 3, np.zeros((2, 2), dtype=complex))
 
+    def test_nonpositive_dimension_rejected(self):
+        with pytest.raises(ShapeError, match="subsystem dimensions must be positive"):
+            PureState(0, 2, np.zeros(0, dtype=complex))
+
 
 class TestPartialTrace:
     def test_bell_state_is_maximally_mixed(self):
@@ -154,6 +158,10 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix(2, bad)
 
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ShapeError, match="expected a 2x2 matrix"):
+            DensityMatrix(2, np.eye(3))
+
 
 class TestHermitianEigs:
     def test_identity(self):
@@ -202,3 +210,7 @@ class TestHermitianEigs:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
             hermitian_eigs(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ShapeError, match="expected a square matrix"):
+            hermitian_eigs(np.ones((2, 3)))

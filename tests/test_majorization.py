@@ -127,6 +127,11 @@ class TestIsMajorizedBy:
         assert is_majorized_by(kind((0.5, 0.5)), kind((1.0, 0.0)))
         assert not is_majorized_by(kind((1.0, 0.0)), kind((0.5, 0.5)))
 
+    def test_each_side_is_sorted_first(self):
+        # in the order given, the first partial sums read 0.2 against 0.5
+        assert is_majorized_by((0.5, 0.5), (0.2, 0.8))
+        assert not is_majorized_by((0.2, 0.8), (0.5, 0.5))
+
     def test_tolerance_is_absolute(self):
         assert is_majorized_by((0.5 + 5e-11, 0.5 - 5e-11), (0.5, 0.5))
         assert not is_majorized_by((0.5 + 5e-10, 0.5 - 5e-10), (0.5, 0.5))
@@ -149,6 +154,16 @@ class TestClassify:
         a, b = (0.4, 0.4, 0.2), (0.5, 0.25, 0.25)
         assert classify(kind(a), kind(b)) is Verdict.INCOMPARABLE
         assert entanglement_entropy(kind(a)) == entanglement_entropy(a)
+
+    @pytest.mark.parametrize("a, b", [
+        ((0.2, 0.8), (0.5, 0.5)),
+        ([0.1, 0.3, 0.6], [0.5, 0.3, 0.2]),
+    ])
+    def test_unsorted_weights_give_the_sorted_verdict(self, a, b):
+        # partial sums taken in the order given read both pairs ForwardOnly
+        ordered = sorted(a, reverse=True), sorted(b, reverse=True)
+        assert classify(*ordered) is Verdict.BACKWARD_ONLY
+        assert classify(a, b) is Verdict.BACKWARD_ONLY
 
     def test_incomparable_pair(self):
         got = classify((0.4, 0.4, 0.2), (0.5, 0.25, 0.25))
@@ -273,3 +288,17 @@ def test_trailing_zeros_never_change_the_verdict(xs, ys):
     b = _normalized(ys)
     assert classify(a + (0.0,), b) is classify(a, b)
     assert classify(a, b + (0.0, 0.0)) is classify(a, b)
+
+
+@settings(derandomize=True, max_examples=60)
+@given(
+    st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=2, max_size=5),
+    st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=2, max_size=5),
+    st.data(),
+)
+def test_shuffled_weights_give_the_sorted_verdict(xs, ys, data):
+    a = _normalized(xs)
+    b = _normalized(ys)
+    shuffled_a = data.draw(st.permutations(a))
+    shuffled_b = data.draw(st.permutations(b))
+    assert classify(shuffled_a, shuffled_b) is classify(a, b)

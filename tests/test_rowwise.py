@@ -56,7 +56,7 @@ def _in_tolerance_band(alpha: float) -> bool:
 
 def test_closed_form_block_matches_scalar_route():
     alphas = _random_alphas(6001, 100_000)
-    block = sweep_module._witness_block(alphas)
+    block = sweep_module.classify_block(alphas)
     initial, final, tolerance_codes, ent_i, ent_f = [], [], [], [], []
     for alpha in alphas:
         li = closed_form_initial_spectrum(QubitSpec(alpha))
@@ -81,7 +81,7 @@ def test_closed_form_block_matches_scalar_route():
     # the overlaps named in the project's history: the band's low edge
     # (Equivalent by tolerance), the midpoint where the routes once split,
     # and the band's high edge (BackwardOnly by tolerance)
-    edge = sweep_module._witness_block(EDGE_ALPHAS)
+    edge = sweep_module.classify_block(EDGE_ALPHAS)
     assert edge.incomparable.tolist() == [False, True, True]
     assert [VERDICTS[c] for c in tolerance_codes[-3:]] == [
         Verdict.EQUIVALENT, Verdict.INCOMPARABLE, Verdict.BACKWARD_ONLY,
