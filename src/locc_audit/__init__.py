@@ -7,7 +7,6 @@ from .construction import (
     DegenerateOverlapError,
     MachineDomainError,
     MissingBlankError,
-    QubitSpec,
     SymbolicState,
     apply_cloner,
     apply_deleter,

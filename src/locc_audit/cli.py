@@ -22,7 +22,6 @@ import numpy as np
 
 from .construction import (
     BLANK_CHOICES,
-    QubitSpec,
     apply_cloner,
     build_initial,
     expand,
@@ -281,7 +280,7 @@ def cmd_threshold(args):
 
 
 def cmd_show_state(args):
-    pre = build_initial(QubitSpec(args.alpha))
+    pre = build_initial(args.alpha)
     state = pre if args.which == "initial" else apply_cloner(pre)
     psi = expand(state, args.blank)
     sv = schmidt_vector(psi)

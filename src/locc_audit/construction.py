@@ -15,8 +15,9 @@ acting on Bob's fourth qubit and the blank duplicates the fourth symbol of
 every word; the matching exact deleter (|00> -> |0>|b>, |psi psi> ->
 |psi>|b>) removes the copy again.  Both machines are word substitutions
 on Bob's branch words, the only domain where they are defined, so a state
-is its six words and the overlap qubit: word k keeps the level and sign of
-INITIAL_TERMS[k], and 4-letter words still carry the blank.
+is its six words and their overlap alpha (beta follows from it): word k
+keeps the level and sign of INITIAL_TERMS[k], and 4-letter words still
+carry the blank.
 
 Because every pairwise overlap of branch words is a power of alpha, the
 3x3 reduced state on Alice's side has entries polynomial in alpha and is
@@ -33,7 +34,7 @@ with squared pre-normalization norms 2(3 - a^4) and 2(3 - a^5).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,38 +75,21 @@ class MachineDomainError(ValueError):
 
 
 @dataclass(frozen=True)
-class QubitSpec:
-    """Real overlap qubit |psi> = alpha |0> + beta |1> with beta >= 0.
-
-    alpha may be a float or a Fraction; a Fraction keeps the overlap
-    algebra exact.  Endpoints 0 and 1 are representable (the reduced-state
-    algebra stays meaningful there) but rejected by the state builders.
-    beta is always derived from alpha.
-    """
-
-    alpha: object
-    beta: float = field(init=False)
-
-    def __post_init__(self):
-        a = float(self.alpha)
-        if not 0.0 <= a <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        object.__setattr__(self, "beta", math.sqrt(max(0.0, 1.0 - a * a)))
-
-
-@dataclass(frozen=True)
 class SymbolicState:
-    """Six branch words over {Z, P} and the overlap qubit they are read at.
+    """Six branch words over {Z, P} and the overlap alpha they are read at.
 
     Word k carries the Alice level and sign of INITIAL_TERMS[k].  The words
     share one length: 4 while the blank qubit is still attached, 5 after
     cloning consumed it.  Any iterable of words is stored as a tuple.
+    alpha is kept as given, a float or a Fraction (which keeps the overlap
+    algebra exact), in [0, 1]: only the state builders reject 0 and 1.
     """
 
     words: tuple
-    qubit: QubitSpec
+    alpha: object
 
     def __post_init__(self):
+        _require_unit(self.alpha)
         words = tuple(self.words)
         object.__setattr__(self, "words", words)
         if len(words) != len(INITIAL_TERMS):
@@ -121,17 +105,17 @@ class SymbolicState:
         return len(self.words[0]) == 4
 
 
-def build_initial(qubit: QubitSpec) -> SymbolicState:
+def build_initial(alpha) -> SymbolicState:
     """The pre-cloning witness state for a strictly interior overlap."""
-    _require_interior(qubit)
-    return SymbolicState(words=[w for _, _, w in INITIAL_TERMS], qubit=qubit)
+    _require_interior(alpha)
+    return SymbolicState(words=[w for _, _, w in INITIAL_TERMS], alpha=alpha)
 
 
 def apply_cloner(state: SymbolicState) -> SymbolicState:
     """Duplicate the fourth symbol of every word, consuming the blank."""
     if not state.has_blank:
         raise MissingBlankError("cloner needs the blank qubit, already consumed")
-    return SymbolicState(words=[w + w[3] for w in state.words], qubit=state.qubit)
+    return SymbolicState(words=[w + w[3] for w in state.words], alpha=state.alpha)
 
 
 def apply_deleter(state: SymbolicState) -> SymbolicState:
@@ -148,7 +132,7 @@ def apply_deleter(state: SymbolicState) -> SymbolicState:
             raise MachineDomainError(
                 f"deleter undefined on word {w!r}: last two symbols differ"
             )
-    return SymbolicState(words=[w[:-1] for w in state.words], qubit=state.qubit)
+    return SymbolicState(words=[w[:-1] for w in state.words], alpha=state.alpha)
 
 
 def blank_state(choice: str) -> np.ndarray:
@@ -169,7 +153,8 @@ def raw_expansion(state: SymbolicState, blank="zero") -> np.ndarray:
     blank attached, 2(3 - alpha^5) after cloning.
     """
     blank_vector = blank_state(blank)  # checked even once cloning consumed it
-    psi = (float(state.qubit.alpha), state.qubit.beta)
+    a = float(state.alpha)
+    psi = (a, math.sqrt(max(0.0, 1.0 - a * a)))
     symbols = {ZERO_SYMBOL: (1.0, 0.0), PSI_SYMBOL: psi}
     tail = [blank_vector] if state.has_blank else []
     rows = [[symbols[c] for c in w] + tail for w in state.words]
@@ -226,13 +211,13 @@ def branch_gram(state: SymbolicState):
     evaluated at its overlap, so it is exact (Fraction-valued) whenever
     the overlap alpha is a Fraction.
     """
-    return _gram_sum(_gram_tensor(state), state.qubit.alpha).tolist()
+    return _gram_sum(_gram_tensor(state), state.alpha).tolist()
 
 
 def witness_gram(alphas, *, cloned: bool = False) -> np.ndarray:
     """Unnormalized (n, 3, 3) branch Gram matrices of the witness state.
 
-    Row k is branch_gram of build_initial(QubitSpec(alphas[k])), or of its
+    Row k is branch_gram of build_initial(alphas[k]), or of its
     cloned image when cloned is true, as doubles, bit for bit.  The
     overlaps are not checked.
     """
@@ -283,23 +268,31 @@ def final_spectrum_values(alpha):
     return ((1 + a5) / den, (1 + a2) * (1 - a3) / den, (1 - a2) * (1 + a3) / den)
 
 
-def closed_form_initial_spectrum(qubit: QubitSpec) -> tuple:
+def closed_form_initial_spectrum(alpha) -> tuple:
     """Descending Schmidt vector of the pre-cloning state from closed form
     (weights positive on (0, 1): sorted, not gated as input)."""
-    _require_interior(qubit)
-    values = map(float, initial_spectrum_values(qubit.alpha))
+    _require_interior(alpha)
+    values = map(float, initial_spectrum_values(alpha))
     return tuple(sorted(values, reverse=True))
 
 
-def closed_form_final_spectrum(qubit: QubitSpec) -> tuple:
+def closed_form_final_spectrum(alpha) -> tuple:
     """Descending Schmidt vector of the post-cloning state from closed form."""
-    _require_interior(qubit)
-    values = map(float, final_spectrum_values(qubit.alpha))
+    _require_interior(alpha)
+    values = map(float, final_spectrum_values(alpha))
     return tuple(sorted(values, reverse=True))
 
 
-def _require_interior(qubit: QubitSpec):
-    a = float(qubit.alpha)
+def _require_unit(alpha) -> float:
+    """The overlap gate: alpha, a float or a Fraction, lies in [0, 1]."""
+    a = float(alpha)
+    if not 0.0 <= a <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    return a
+
+
+def _require_interior(alpha):
+    a = _require_unit(alpha)
     if a <= 0.0 or a >= 1.0:
         raise DegenerateOverlapError(
             f"overlap alpha={a} is degenerate: need 0 < alpha < 1"
@@ -308,7 +301,7 @@ def _require_interior(qubit: QubitSpec):
 
 # Word-overlap tensors of the witness pair, read from the symbolic machines
 # once: the words do not depend on the overlap, so any interior one serves.
-_WITNESS_PRE = build_initial(QubitSpec(0.5))
+_WITNESS_PRE = build_initial(0.5)
 _WITNESS_GRAMS = {
     False: _gram_tensor(_WITNESS_PRE),
     True: _gram_tensor(apply_cloner(_WITNESS_PRE)),

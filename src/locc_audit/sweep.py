@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construction import (
-    QubitSpec,
     closed_form_initial_spectrum,
     final_spectrum_values,
     initial_spectrum_values,
@@ -176,7 +175,7 @@ def _checked_spectra(alphas) -> tuple:
     outside = ~((doubles > 0.0) & (doubles < 1.0))
     if outside.any():
         # the scalar route raises the [0, 1] or degenerate-overlap error
-        closed_form_initial_spectrum(QubitSpec(alphas[int(np.argmax(outside))]))
+        closed_form_initial_spectrum(alphas[int(np.argmax(outside))])
     initial = _spectrum_rows(initial_spectrum_values, alphas)
     final = _spectrum_rows(final_spectrum_values, alphas)
     for start in range(0, len(doubles), CROSS_CHECK_BLOCK):

@@ -11,6 +11,7 @@ amplitudes must keep.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -106,7 +107,8 @@ def kron_chain_expansion(state, blank) -> np.ndarray:
     from [1], then the blank 2-vector while the state still carries it,
     and the signed words are summed per Alice level in term order.
     """
-    alpha, beta = float(state.qubit.alpha), state.qubit.beta
+    alpha = float(state.alpha)
+    beta = math.sqrt(max(0.0, 1.0 - alpha * alpha))
     symbol_vecs = {
         "Z": np.array([1.0, 0.0], dtype=np.complex128),
         "P": np.array([alpha, beta], dtype=np.complex128),

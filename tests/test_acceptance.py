@@ -25,7 +25,6 @@ import numpy as np
 
 from conftest import float_probs, simplex_pair, strict_triple_pair
 from locc_audit import (
-    QubitSpec,
     Verdict,
     apply_cloner,
     apply_deleter,
@@ -71,25 +70,24 @@ def report(capsys, num: int, name: str, ok: bool, detail: str = "") -> str:
 
 
 def witness_pair(alpha: float):
-    pre = build_initial(QubitSpec(alpha))
+    pre = build_initial(alpha)
     return pre, apply_cloner(pre)
 
 
 def test_criterion_01_closed_form_fidelity(capsys):
     worst = 0.0
     for alpha in GRID:
-        q = QubitSpec(alpha)
         pre, post = witness_pair(alpha)
         dev_i = np.max(
             np.abs(
                 np.array(schmidt_vector(expand(pre)))
-                - np.array(closed_form_initial_spectrum(q))
+                - np.array(closed_form_initial_spectrum(alpha))
             )
         )
         dev_f = np.max(
             np.abs(
                 np.array(schmidt_vector(expand(post)))
-                - np.array(closed_form_final_spectrum(q))
+                - np.array(closed_form_final_spectrum(alpha))
             )
         )
         worst = max(worst, dev_i, dev_f)
@@ -309,13 +307,13 @@ def test_criterion_09_entropy_monotone(capsys):
 def test_criterion_10_machines_and_blank(capsys):
     round_trip_ok = True
     for alpha in (0.3, 0.5, 0.73, 0.9):
-        state = build_initial(QubitSpec(alpha))
+        state = build_initial(alpha)
         if apply_deleter(apply_cloner(state)) != state:
             round_trip_ok = False
 
     worst = 0.0
     for alpha in (0.4, 0.73):
-        state = build_initial(QubitSpec(alpha))
+        state = build_initial(alpha)
         spectra = [
             np.array(schmidt_vector(expand(state, blank=b)))
             for b in ("zero", "one", "plus")

@@ -72,7 +72,12 @@ class TestAnalyze:
 
     @pytest.mark.parametrize(
         "weights, problem",
-        [("-0.5,1.5", "negative"), ("-.5,1.5", "negative"), ("-inf,2", "non-finite")],
+        [
+            ("-0.5,1.5", "negative"),
+            ("-.5,1.5", "negative"),
+            ("-inf,2", "non-finite"),
+            ("1,-5e-324", "negative"),  # the smallest negative weight, not first
+        ],
     )
     def test_negative_first_weight_reaches_the_weight_check(
         self, weights, problem, capsys
@@ -423,6 +428,18 @@ class TestPaperVerify:
         assert main(["paper-verify", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_rows_around_R(self, capsys):
+        # the double below R, R itself and the double above it
+        args = ["--alpha-min", "0.5271653746551653", "--alpha-max", "0.5271653746551655"]
+        assert main(["paper-verify", *args, "--steps", "3"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        verdict_col = REPORT_FIELDS.index("verdict")
+        assert [r.split(",")[verdict_col] for r in rows] == [
+            "ForwardOnly",
+            "Incomparable",
+            "Incomparable",
+        ]
+
     def test_bad_steps_exits_2(self):
         assert main(["paper-verify", "--steps", "1"]) == 2
 
@@ -469,6 +486,12 @@ class TestThreshold:
     def test_windows_without_boundary_exit_5(self, capsys):
         assert main(["threshold", "--lo", "0.7", "--hi", "0.9"]) == 5
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_window_starting_at_R_exits_5(self, capsys):
+        assert main(["threshold", "--lo", "0.5271653746551654", "--hi", "0.9"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
     def test_nonpositive_tol_exits_2(self):
         assert main(["threshold", "--lo", "0.3", "--hi", "0.9", "--tol", "0"]) == 2

@@ -12,7 +12,6 @@ from locc_audit import (
     NotHermitianError,
     NotNormalizedError,
     PureState,
-    QubitSpec,
     ShapeError,
     apply_cloner,
     build_initial,
@@ -117,7 +116,7 @@ class TestPartialTrace:
 
     def test_witness_initial_reduced_state_at_half(self):
         # exact reduction is diag(17, 15, 15) / 47
-        state = expand(build_initial(QubitSpec(0.5)))
+        state = expand(build_initial(0.5))
         rho = partial_trace_b(state)
         expected = np.diag([17.0, 15.0, 15.0]) / 47.0
         np.testing.assert_allclose(rho.entries, expected, atol=ATOL_STRUCTURAL)
@@ -176,7 +175,7 @@ class TestHermitianEigs:
 
     def test_witness_final_spectrum_at_half(self):
         # eigenvalues 35/95, 33/95, 27/95 of the cloned-state reduction
-        rho = gram_reduced_density(apply_cloner(build_initial(QubitSpec(0.5))))
+        rho = gram_reduced_density(apply_cloner(build_initial(0.5)))
         expected = np.array([35.0, 33.0, 27.0]) / 95.0
         np.testing.assert_allclose(hermitian_eigs(rho), expected, atol=ATOL_STRUCTURAL)
 

@@ -13,7 +13,6 @@ from conftest import float_probs, simplex_pair, strict_triple_pair
 from locc_audit import (
     FastPathInapplicable,
     PureState,
-    QubitSpec,
     Verdict,
     build_initial,
     classify,
@@ -34,7 +33,7 @@ def bell_state() -> PureState:
 
 class TestSchmidtVector:
     def test_is_a_descending_tuple_of_floats(self):
-        sv = schmidt_vector(expand(build_initial(QubitSpec(0.5))))
+        sv = schmidt_vector(expand(build_initial(0.5)))
         assert type(sv) is tuple
         assert all(type(p) is float for p in sv)
         assert list(sv) == sorted(sv, reverse=True)
@@ -48,7 +47,7 @@ class TestSchmidtVector:
         np.testing.assert_allclose(schmidt_vector(PureState(2, 2, amps)), [1.0, 0.0])
 
     def test_witness_initial_at_half(self):
-        sv = schmidt_vector(expand(build_initial(QubitSpec(0.5))))
+        sv = schmidt_vector(expand(build_initial(0.5)))
         np.testing.assert_allclose(
             sv, [17.0 / 47.0, 15.0 / 47.0, 15.0 / 47.0], atol=1e-12
         )
@@ -121,6 +120,8 @@ class TestIsMajorizedBy:
     def test_zero_padding_of_shorter_vector(self):
         assert is_majorized_by((1 / 3, 1 / 3, 1 / 3), (0.5, 0.5))
         assert not is_majorized_by((0.5, 0.5), (1 / 3, 1 / 3, 1 / 3))
+        # unequal sums: only the padded second partial sum tells, 0.4 > 0.3
+        assert not is_majorized_by((0.2, 0.2), (0.3,))
 
     @pytest.mark.parametrize("kind", [tuple, list, np.array, iter])
     def test_accepts_any_iterable_of_weights(self, kind):

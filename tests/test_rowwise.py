@@ -16,7 +16,6 @@ import math
 import numpy as np
 
 from locc_audit import (
-    QubitSpec,
     Verdict,
     classify,
     closed_form_final_spectrum,
@@ -59,8 +58,8 @@ def test_closed_form_block_matches_scalar_route():
     block = sweep_module.classify_block(alphas)
     initial, final, tolerance_codes, ent_i, ent_f = [], [], [], [], []
     for alpha in alphas:
-        li = closed_form_initial_spectrum(QubitSpec(alpha))
-        lf = closed_form_final_spectrum(QubitSpec(alpha))
+        li = closed_form_initial_spectrum(alpha)
+        lf = closed_form_final_spectrum(alpha)
         initial.append(li)
         final.append(lf)
         tolerance_codes.append(VERDICTS.index(classify(li, lf)))

@@ -26,7 +26,6 @@ from locc_audit import (
     find_threshold,
     grid,
     no_deleting_check,
-    QubitSpec,
     report_row,
     schmidt_vector,
 )
@@ -79,6 +78,15 @@ class TestClassifyConstruction:
             classify_block([0.5, 1.0, 1.5])
         with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\], got 1.5"):
             classify_block([0.5, 1.5, 0.0])
+
+    def test_the_row_at_R_is_incomparable(self):
+        below = math.nextafter(sweep_module.R, 0.0)
+        assert below == 0.5271653746551653
+        block = classify_block([below, sweep_module.R])
+        assert [r.verdict for r in block.reports()] == [
+            Verdict.FORWARD_ONLY,
+            Verdict.INCOMPARABLE,
+        ]
 
     def test_overlaps_may_come_from_an_iterator(self):
         alphas = [0.2, Fraction(1, 2), 0.9]
@@ -171,6 +179,11 @@ class TestFindThreshold:
     def test_no_change_in_window_rejected(self):
         with pytest.raises(NonMonotoneBoundaryError):
             find_threshold(0.7, 0.9, 1e-10)
+
+    def test_window_starting_at_R_has_no_change(self):
+        # R itself is Incomparable, so the window holds one verdict
+        with pytest.raises(NonMonotoneBoundaryError):
+            find_threshold(sweep_module.R, 0.9, 1e-8)
 
     def test_nonpositive_tol_rejected(self):
         with pytest.raises(SweepRangeError):
@@ -330,7 +343,7 @@ class TestCrossCheck:
             stacked = sweep_module._numeric_spectra(alphas, cloned=cloned)
             assert stacked.shape == (len(alphas), 3)
             for alpha, got in zip(alphas, stacked.tolist()):
-                state = build_initial(QubitSpec(alpha))
+                state = build_initial(alpha)
                 if cloned:
                     state = apply_cloner(state)
                 want = schmidt_vector(expand(state))

@@ -20,7 +20,6 @@ import pytest
 import sympy as sp
 
 from locc_audit import (
-    QubitSpec,
     apply_cloner,
     build_initial,
     final_spectrum_values,
@@ -30,7 +29,7 @@ from locc_audit.construction import _gram_tensor
 from locc_audit.sweep import R
 
 a, x = sp.symbols("a x")
-WITNESS = build_initial(QubitSpec(0.5))  # the words do not depend on alpha
+WITNESS = build_initial(0.5)  # the words do not depend on alpha
 SIDES = [
     (WITNESS, initial_spectrum_values),
     (apply_cloner(WITNESS), final_spectrum_values),
