@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from numbers import Real
 
 import numpy as np
 
@@ -107,7 +109,7 @@ class SymbolicState:
 
 def build_initial(alpha) -> SymbolicState:
     """The pre-cloning witness state for a strictly interior overlap."""
-    _require_interior(alpha)
+    require_interior(alpha)
     return SymbolicState(words=[w for _, _, w in INITIAL_TERMS], alpha=alpha)
 
 
@@ -214,15 +216,15 @@ def branch_gram(state: SymbolicState):
     return _gram_sum(_gram_tensor(state), state.alpha).tolist()
 
 
-def witness_gram(alphas, *, cloned: bool = False) -> np.ndarray:
-    """Unnormalized (n, 3, 3) branch Gram matrices of the witness state.
+def witness_gram(alphas) -> np.ndarray:
+    """Unnormalized (n, 2, 3, 3) branch Gram matrices of the witness pair.
 
-    Row k is branch_gram of build_initial(alphas[k]), or of its
-    cloned image when cloned is true, as doubles, bit for bit.  The
-    overlaps are not checked.
+    Row k holds branch_gram of build_initial(alphas[k]) and of its cloned
+    image, as doubles, bit for bit: the pre-cloning tensor is padded with
+    a zero layer, which adds a zero.  The overlaps are not checked.
     """
-    a = np.asarray(alphas, dtype=np.float64).reshape(-1, 1, 1)
-    return _gram_sum(_WITNESS_GRAMS[bool(cloned)], a)
+    a = np.asarray(alphas, dtype=np.float64).reshape(-1, 1, 1, 1)
+    return _gram_sum(_WITNESS_GRAMS, a)
 
 
 def normalizer(state: SymbolicState):
@@ -249,10 +251,7 @@ def initial_spectrum_values(alpha):
     Returns ((1+a^4)/(3-a^4), (1-a^4)/(3-a^4), (1-a^4)/(3-a^4)) in the
     arithmetic of alpha (exact for Fractions).
     """
-    a4 = alpha**4
-    lam1 = (1 + a4) / (3 - a4)
-    lam2 = (1 - a4) / (3 - a4)
-    return (lam1, lam2, lam2)
+    return _initial_formula(alpha**4)
 
 
 def final_spectrum_values(alpha):
@@ -261,37 +260,69 @@ def final_spectrum_values(alpha):
     Returns ((1+a^5)/(3-a^5), (1+a^2)(1-a^3)/(3-a^5),
     (1-a^2)(1+a^3)/(3-a^5)) in the arithmetic of alpha.
     """
-    a2 = alpha**2
-    a3 = alpha**3
-    a5 = alpha**5
+    return _final_formula(alpha**2, alpha**3, alpha**5)
+
+
+# The closed forms on given powers of alpha: Fractions, floats, or the
+# arrays of closed_form_rows, so the scalar and array routes share them.
+def _initial_formula(a4):
+    lam2 = (1 - a4) / (3 - a4)
+    return ((1 + a4) / (3 - a4), lam2, lam2)
+
+
+def _final_formula(a2, a3, a5):
     den = 3 - a5
     return ((1 + a5) / den, (1 + a2) * (1 - a3) / den, (1 - a2) * (1 + a3) / den)
+
+
+def closed_form_rows(alphas) -> np.ndarray:
+    """(n, 2, 3) descending closed-form weights of the witness pair.
+
+    Row k holds closed_form_initial_spectrum and closed_form_final_spectrum
+    of the double alphas[k], bit for bit, from one array pass: the powers
+    come from math.pow, the C pow that float ** int calls (numpy's ** may
+    round differently: a * a for a square, a SIMD pow on some CPUs), and
+    the formulas above run on them in numpy's correctly rounded + - * /.
+    The overlaps are not checked.
+    """
+    alphas = list(alphas)
+    a2, a3, a4, a5 = (
+        np.fromiter(map(math.pow, alphas, repeat(k)), np.float64, len(alphas))
+        for k in (2.0, 3.0, 4.0, 5.0)
+    )
+    values = np.array([_initial_formula(a4), _final_formula(a2, a3, a5)])
+    return np.sort(values.transpose(2, 0, 1))[..., ::-1]
 
 
 def closed_form_initial_spectrum(alpha) -> tuple:
     """Descending Schmidt vector of the pre-cloning state from closed form
     (weights positive on (0, 1): sorted, not gated as input)."""
-    _require_interior(alpha)
+    require_interior(alpha)
     values = map(float, initial_spectrum_values(alpha))
     return tuple(sorted(values, reverse=True))
 
 
 def closed_form_final_spectrum(alpha) -> tuple:
     """Descending Schmidt vector of the post-cloning state from closed form."""
-    _require_interior(alpha)
+    require_interior(alpha)
     values = map(float, final_spectrum_values(alpha))
     return tuple(sorted(values, reverse=True))
 
 
 def _require_unit(alpha) -> float:
-    """The overlap gate: alpha, a float or a Fraction, lies in [0, 1]."""
+    """The overlap gate: alpha, a real number such as a float or a
+    Fraction (not text), lies in [0, 1]."""
+    if not isinstance(alpha, Real):
+        raise ValueError(f"alpha must be a real number, got {alpha!r}")
     a = float(alpha)
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     return a
 
 
-def _require_interior(alpha):
+def require_interior(alpha):
+    """The overlap gate of the builders and closed forms: alpha passes
+    the [0, 1] gate, then DegenerateOverlapError rejects 0 and 1."""
     a = _require_unit(alpha)
     if a <= 0.0 or a >= 1.0:
         raise DegenerateOverlapError(
@@ -299,10 +330,11 @@ def _require_interior(alpha):
         )
 
 
-# Word-overlap tensors of the witness pair, read from the symbolic machines
-# once: the words do not depend on the overlap, so any interior one serves.
+# Word-overlap tensors of the witness pair, stacked (6, 2, 3, 3), read from
+# the symbolic machines once: the words do not depend on the overlap, so any
+# interior one serves.  The pre-cloning words are one letter shorter.
 _WITNESS_PRE = build_initial(0.5)
-_WITNESS_GRAMS = {
-    False: _gram_tensor(_WITNESS_PRE),
-    True: _gram_tensor(apply_cloner(_WITNESS_PRE)),
-}
+_WITNESS_GRAMS = np.stack([
+    np.concatenate([_gram_tensor(_WITNESS_PRE), np.zeros((1, 3, 3), np.int64)]),
+    _gram_tensor(apply_cloner(_WITNESS_PRE)),
+], axis=1)

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construction import (
-    closed_form_initial_spectrum,
-    final_spectrum_values,
-    initial_spectrum_values,
-    witness_gram,
-)
+from .construction import closed_form_rows, require_interior, witness_gram
 from .majorization import Verdict, entropy_rows
 
 # The witness pair's exact verdict boundary (Nielsen's majorization
@@ -160,31 +155,30 @@ def _checked_spectra(alphas) -> tuple:
     """The overlaps as doubles and their (n, 3) descending closed-form
     initial and final weights, held to the numeric route.
 
-    The six spectrum values of each overlap are scalar Python arithmetic on
-    the caller's own numbers (numpy's vectorized powers may round
-    differently, and a Fraction stays exact).  An overlap outside (0, 1)
-    raises the scalar route's error first.  The branch Gram matrices are
-    then reduced to Schmidt weights CROSS_CHECK_BLOCK overlaps at a time;
-    the first overlap, in list order, where a numeric weight differs from
-    the closed-form one by more than ROUTE_GAP raises
-    InternalInconsistencyError.  Weights, not verdicts, are compared: the
-    verdicts come from R alone.
+    The first overlap, in list order, that is not a real number or lies
+    outside (0, 1) raises the scalar gate's error.  Then, CROSS_CHECK_BLOCK
+    overlaps at a time, the closed-form rows of the doubles
+    (closed_form_rows, bit for bit the scalar closed forms) are held to
+    the Schmidt weights of the branch Gram matrices of both states, from
+    one stacked eigensolve; the first overlap, in list order, where a
+    numeric weight differs from the closed-form one by more than ROUTE_GAP
+    raises InternalInconsistencyError.  Weights, not verdicts, are
+    compared: the verdicts come from R alone.
     """
     alphas = list(alphas)
+    if not all(issubclass(kind, float) for kind in set(map(type, alphas))):
+        for alpha in alphas:  # a non-number stops here, in list order
+            require_interior(alpha)
     doubles = np.array(alphas, dtype=np.float64)
     outside = ~((doubles > 0.0) & (doubles < 1.0))
     if outside.any():
-        # the scalar route raises the [0, 1] or degenerate-overlap error
-        closed_form_initial_spectrum(alphas[int(np.argmax(outside))])
-    initial = _spectrum_rows(initial_spectrum_values, alphas)
-    final = _spectrum_rows(final_spectrum_values, alphas)
+        require_interior(alphas[int(np.argmax(outside))])
+    spectra = np.empty((len(doubles), 2, 3))
     for start in range(0, len(doubles), CROSS_CHECK_BLOCK):
         rows = slice(start, start + CROSS_CHECK_BLOCK)
         chunk = doubles[rows]
-        gap = np.maximum(
-            np.abs(_numeric_spectra(chunk, cloned=False) - initial[rows]),
-            np.abs(_numeric_spectra(chunk, cloned=True) - final[rows]),
-        ).max(axis=1)
+        closed = spectra[rows] = closed_form_rows(chunk.tolist())
+        gap = np.abs(_numeric_spectra(chunk) - closed).max(axis=(1, 2))
         off = ~(gap <= ROUTE_GAP)
         if off.any():
             k = int(np.argmax(off))
@@ -192,21 +186,15 @@ def _checked_spectra(alphas) -> tuple:
                 f"alpha={float(chunk[k])}: closed-form and numeric weights differ "
                 f"by {gap[k]:.3g}, more than {ROUTE_GAP:g}"
             )
-    return doubles, initial, final
+    return doubles, spectra[:, 0], spectra[:, 1]
 
 
-def _spectrum_rows(values, alphas) -> np.ndarray:
-    # positive on (0, 1) and held to the numeric route: sorted descending,
-    # not gated as input
-    flat = np.fromiter((v for a in alphas for v in values(a)), np.float64, 3 * len(alphas))
-    return np.sort(flat.reshape(-1, 3))[:, ::-1]
-
-
-def _numeric_spectra(alphas, *, cloned: bool) -> np.ndarray:
-    """(n, 3) Schmidt weights of the witness state at each overlap: the
-    eigenvalues of its branch Gram matrix over their sum, descending."""
-    weights = np.linalg.eigvalsh(witness_gram(alphas, cloned=cloned))
-    return (weights / weights.sum(axis=1, keepdims=True))[:, ::-1]
+def _numeric_spectra(alphas) -> np.ndarray:
+    """(n, 2, 3) Schmidt weights of the witness pair at each overlap: the
+    eigenvalues of each state's branch Gram matrix over their sum,
+    descending."""
+    weights = np.linalg.eigvalsh(witness_gram(alphas))
+    return (weights / weights.sum(axis=-1, keepdims=True))[..., ::-1]
 
 
 def grid(alpha_min: float, alpha_max: float, steps: int) -> list:

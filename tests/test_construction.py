@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -103,6 +104,28 @@ class TestOverlapGate:
             assert str(exc.value) == message, name
         if isinstance(alpha, float):  # the CLI reads a float
             assert show_state_error(alpha, capsys) == f"error: {message}\n"
+
+    @pytest.mark.parametrize("alpha", ["0.5", b"0.5", 0.5j, Decimal("0.5")],
+                             ids=["str", "bytes", "complex", "Decimal"])
+    def test_non_number_alpha_rejected(self, alpha):
+        # numpy would read the text '0.5' as 0.5: the gate must stop it
+        # first.  A Decimal is no numbers.Real (it refuses mixed arithmetic
+        # with floats), so it is rejected too.
+        message = f"alpha must be a real number, got {alpha!r}"
+        calls = dict(BUILDERS, SymbolicState=lambda a: SymbolicState(WITNESS_WORDS, a))
+        for name, call in calls.items():
+            with pytest.raises(ValueError) as exc:
+                call(alpha)
+            assert type(exc.value) is ValueError, name
+            assert str(exc.value) == message, name
+
+    def test_block_names_the_first_bad_overlap_in_list_order(self):
+        with pytest.raises(ValueError, match=r"^alpha must be a real number, got '0\.5'$"):
+            classify_block([0.3, "0.5", 1.5])
+        with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\], got 1\.5$"):
+            classify_block([0.3, 1.5, "0.5"])
+        with pytest.raises(DegenerateOverlapError):
+            classify_block([Fraction(1, 2), 0.0, b"0.5"])
 
     def test_endpoints_are_representable(self):
         for alpha, beta in ((0.0, 1.0), (1.0, 0.0)):
@@ -290,13 +313,12 @@ class TestExpansion:
 
     def test_stacked_gram_rows_are_branch_grams(self):
         alphas = [1e-300, 1e-3, 0.3, 0.5, 0.8, 0.999, 1 - 1e-16]
-        for cloned in (False, True):
-            stacked = witness_gram(alphas, cloned=cloned)
-            assert stacked.shape == (len(alphas), 3, 3)
-            for alpha, got in zip(alphas, stacked.tolist()):
-                state = build_initial(alpha)
-                assert got == branch_gram(apply_cloner(state) if cloned else state)
-            assert witness_gram([], cloned=cloned).shape == (0, 3, 3)
+        stacked = witness_gram(alphas)
+        assert stacked.shape == (len(alphas), 2, 3, 3)
+        for alpha, got in zip(alphas, stacked.tolist()):
+            state = build_initial(alpha)
+            assert got == [branch_gram(state), branch_gram(apply_cloner(state))]
+        assert witness_gram([]).shape == (0, 2, 3, 3)
 
 
 WORDS = st.lists(st.text("ZP", min_size=4, max_size=4), min_size=6, max_size=6)

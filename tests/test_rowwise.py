@@ -22,6 +22,7 @@ from locc_audit import (
     closed_form_initial_spectrum,
     entanglement_entropy,
 )
+import locc_audit.construction as construction_module
 import locc_audit.majorization as majorization_module
 import locc_audit.sweep as sweep_module
 from locc_audit import cli
@@ -85,6 +86,32 @@ def test_closed_form_block_matches_scalar_route():
     assert [VERDICTS[c] for c in tolerance_codes[-3:]] == [
         Verdict.EQUIVALENT, Verdict.INCOMPARABLE, Verdict.BACKWARD_ONLY,
     ]
+
+
+# Overlaps where numpy's ** on an array rounds a power differently from the
+# C pow that float ** int calls, and the difference reaches a printed
+# weight: a ** 2 is a multiply (0.42672114373024106 moves lf3), and on a
+# CPU with AVX-512 the SIMD pow of a ** 3, ** 4 and ** 5 differs by an
+# ulp at the others.  0.04097352393619469 is one where the SIMD a ** 4
+# differs but no weight moves.  The ** 3 to ** 5 cases can only fail on a
+# CPU with AVX-512.
+POW_SPLIT_ALPHAS = {
+    2: [0.42672114373024106, 0.9083301217185581],
+    3: [0.8452249817012268],
+    4: [0.04097352393619469, 0.7002440577845749],
+    5: [0.8946977936861454],
+}
+
+
+def test_block_powers_are_the_scalar_pow():
+    alphas = [a for split in POW_SPLIT_ALPHAS.values() for a in split]
+    rows = construction_module.closed_form_rows(alphas)
+    block = sweep_module.classify_block(alphas)
+    for alpha, row, li, lf in zip(alphas, rows, block.initial, block.final):
+        want_i = closed_form_initial_spectrum(alpha)
+        want_f = closed_form_final_spectrum(alpha)
+        assert _bits(row) == _bits([want_i, want_f]), alpha
+        assert _bits(li) == _bits(want_i) and _bits(lf) == _bits(want_f), alpha
 
 
 # Each triple's left-to-right sum and its exactly rounded sum fall on

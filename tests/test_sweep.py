@@ -91,6 +91,9 @@ class TestClassifyConstruction:
     def test_overlaps_may_come_from_an_iterator(self):
         alphas = [0.2, Fraction(1, 2), 0.9]
         assert classify_block(iter(alphas)).reports() == classify_block(alphas).reports()
+        # numpy doubles are floats: they pass the gate as Python floats do
+        doubles = np.array([0.2, 0.5, 0.9])
+        assert classify_block(doubles).reports() == classify_block(alphas).reports()
 
 
 class TestSweep:
@@ -234,21 +237,40 @@ class TestCrossCheck:
     still name the first overlap, in list order, where the routes differ."""
 
     @staticmethod
-    def corrupt_closed_form_at(monkeypatch, targets):
+    def corrupt_rows_at(monkeypatch, targets, change):
+        # change(row) edits the (2, 3) closed-form row of each target alpha
+        real = sweep_module.closed_form_rows
+
+        def closed_form_rows(alphas):
+            alphas = list(alphas)
+            rows = real(alphas)
+            for alpha, row in zip(alphas, rows):
+                if alpha in targets:
+                    change(row)
+            return rows
+
+        monkeypatch.setattr(sweep_module, "closed_form_rows", closed_form_rows)
+
+    @classmethod
+    def corrupt_closed_form_at(cls, monkeypatch, targets):
         # the final spectrum reads as the initial one: verdict Equivalent
-        real = sweep_module.final_spectrum_values
+        def final_as_initial(row):
+            row[1] = row[0]
 
-        def final_spectrum(alpha):
-            if float(alpha) in targets:
-                return sweep_module.initial_spectrum_values(alpha)
-            return real(alpha)
+        cls.corrupt_rows_at(monkeypatch, targets, final_as_initial)
 
-        monkeypatch.setattr(sweep_module, "final_spectrum_values", final_spectrum)
+    @classmethod
+    def corrupt_initial_lam1_at(cls, monkeypatch, targets):
+        # only the initial side is off, by far more than ROUTE_GAP
+        def shift(row):
+            row[0, 0] += 1e-9
+
+        cls.corrupt_rows_at(monkeypatch, targets, shift)
 
     @staticmethod
     def expected_error(alpha) -> str:
-        # a pattern: the gap is how far the true final weights lie from
-        # the corrupted ones, far above ROUTE_GAP
+        # a pattern: the gap is how far the corrupted weights lie from the
+        # numeric ones, far above ROUTE_GAP
         return (
             re.escape(f"alpha={alpha}: closed-form and numeric weights differ by ")
             + r"[0-9.e+-]+, more than 1e-12"
@@ -266,20 +288,26 @@ class TestCrossCheck:
         assert main(["paper-verify"]) == 1
         assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
 
-    def test_bisection_midpoint_disagreement_is_named(self, monkeypatch, capsys):
+    @staticmethod
+    def threshold_midpoints(monkeypatch) -> list:
+        # the overlaps find_threshold(0.3, 0.9, 1e-8) cross-checks after
+        # its scan points, in order
         seen = []
-        real = sweep_module.final_spectrum_values
+        real = sweep_module.closed_form_rows
 
-        def spy(alpha):
-            seen.append(float(alpha))
-            return real(alpha)
+        def spy(alphas):
+            seen.extend(alphas)
+            return real(alphas)
 
         with monkeypatch.context() as patch:
-            patch.setattr(sweep_module, "final_spectrum_values", spy)
+            patch.setattr(sweep_module, "closed_form_rows", spy)
             find_threshold(0.3, 0.9, 1e-8)
         midpoints = seen[sweep_module.SCAN_POINTS:]
         assert len(midpoints) > 5
-        target = midpoints[5]
+        return midpoints
+
+    def test_bisection_midpoint_disagreement_is_named(self, monkeypatch, capsys):
+        target = self.threshold_midpoints(monkeypatch)[5]
         self.corrupt_closed_form_at(monkeypatch, {target})
         message = self.expected_error(target)
         with pytest.raises(InternalInconsistencyError, match=message):
@@ -302,18 +330,33 @@ class TestCrossCheck:
         assert main(["threshold", "--lo", str(lo), "--hi", str(hi)]) == 1
         assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
 
+    def test_initial_side_disagreement_is_named_on_the_grid(self, monkeypatch, capsys):
+        target = grid(0.01, 0.99, 99)[61]
+        self.corrupt_initial_lam1_at(monkeypatch, {target})
+        capsys.readouterr()
+        assert main(["paper-verify"]) == 1
+        message = self.expected_error(target)
+        assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+
+    def test_initial_side_disagreement_is_named_at_a_midpoint(self, monkeypatch, capsys):
+        target = self.threshold_midpoints(monkeypatch)[7]
+        self.corrupt_initial_lam1_at(monkeypatch, {target})
+        capsys.readouterr()
+        argv = ["threshold", "--lo", "0.3", "--hi", "0.9", "--tol", "1e-8"]
+        assert main(argv) == 1
+        message = self.expected_error(target)
+        assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+
     def test_closed_form_fault_is_internal_not_input(self, monkeypatch, capsys):
         # computed weights pass no input gate: final weights that sum to 2
         # are a fault of the program, which the cross-check reports (exit
         # 1), not malformed input (exit 2)
         target = grid(0.01, 0.99, 99)[42]
-        real = sweep_module.final_spectrum_values
 
-        def doubled(alpha):
-            values = real(alpha)
-            return tuple(2 * v for v in values) if float(alpha) == target else values
+        def doubled(row):
+            row[1] *= 2
 
-        monkeypatch.setattr(sweep_module, "final_spectrum_values", doubled)
+        self.corrupt_rows_at(monkeypatch, {target}, doubled)
         capsys.readouterr()
         assert main(["paper-verify"]) == 1
         message = self.expected_error(target)
@@ -339,12 +382,10 @@ class TestCrossCheck:
         # the Gram route against the singular values of the expanded state
         alphas = [float(a) for a in np.linspace(1e-4, 1 - 1e-4, 199)]
         alphas += [8e-6, 0.5271653750094808, 0.9999995]
-        for cloned in (False, True):
-            stacked = sweep_module._numeric_spectra(alphas, cloned=cloned)
-            assert stacked.shape == (len(alphas), 3)
-            for alpha, got in zip(alphas, stacked.tolist()):
-                state = build_initial(alpha)
-                if cloned:
-                    state = apply_cloner(state)
+        stacked = sweep_module._numeric_spectra(alphas)
+        assert stacked.shape == (len(alphas), 2, 3)
+        for alpha, got in zip(alphas, stacked.tolist()):
+            pre = build_initial(alpha)
+            for state, weights in zip((pre, apply_cloner(pre)), got):
                 want = schmidt_vector(expand(state))
-                assert np.abs(np.subtract(got, want)).max() <= 1e-14
+                assert np.abs(np.subtract(weights, want)).max() <= 1e-14
