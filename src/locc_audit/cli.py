@@ -243,17 +243,14 @@ def _report_payload(block, fmt: str):
         part = slice(start, start + CROSS_CHECK_BLOCK)
         rows = zip(
             np.column_stack(
-                [block.alphas[part], block.initial[part], block.final[part]]
+                [block.alphas[part], block.spectra[part].reshape(-1, 6)]
             ).tolist(),
             block.incomparable[part].tolist(),
-            block.entropy_initial[part].tolist(),
-            block.entropy_final[part].tolist(),
+            block.entropies[part].tolist(),
         )
         lines = [
-            row.format(
-                *numbers, verdicts[inc], ent_i, ent_f, flag[inc], backward, flag[inc],
-            )
-            for numbers, inc, ent_i, ent_f in rows
+            row.format(*numbers, verdicts[inc], *ents, flag[inc], backward, flag[inc])
+            for numbers, inc, ents in rows
         ]
         yield (sep if start else "") + sep.join(lines)
     yield tail

@@ -314,10 +314,9 @@ def _require_unit(alpha) -> float:
     Fraction (not text), lies in [0, 1]."""
     if not isinstance(alpha, Real):
         raise ValueError(f"alpha must be a real number, got {alpha!r}")
-    a = float(alpha)
-    if not 0.0 <= a <= 1.0:
+    if not 0 <= alpha <= 1:  # exact: float() overflows past the double range
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    return a
+    return float(alpha)
 
 
 def require_interior(alpha):

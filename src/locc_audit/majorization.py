@@ -75,19 +75,20 @@ def entanglement_entropy(sv) -> float:
 
 
 def entropy_rows(values) -> np.ndarray:
-    """entanglement_entropy of each row of an (n, k) array of weights.
+    """entanglement_entropy along the last axis of an (..., k) array of
+    weights, giving an (...) array.
 
-    The logarithms come from math.log2 and each row's terms are subtracted
-    left to right, so every entropy is the double the scalar function gives.
+    One weight column at a time: the logarithms come from math.log2 and the
+    columns are subtracted left to right, so every entropy is the double
+    the scalar function gives, and the temporaries stay a column's size.
     """
     vals = np.asarray(values, dtype=np.float64)
-    kept = vals > _ZERO_CLAMP
-    flat = np.where(kept, vals, 1.0).ravel()
-    logs = np.fromiter(map(math.log2, flat), np.float64, flat.size).reshape(vals.shape)
-    terms = np.where(kept, vals * logs, 0.0)
-    total = np.zeros(len(vals))
-    for column in terms.T:
-        total -= column
+    total = np.zeros(vals.shape[:-1])
+    for column in np.moveaxis(vals, -1, 0):
+        kept = column > _ZERO_CLAMP
+        terms = column[kept]  # a copy: each weight p becomes p log2 p in place
+        terms *= np.fromiter(map(math.log2, terms), np.float64, terms.size)
+        total[kept] -= terms
     return total
 
 

@@ -65,10 +65,6 @@ class PairReport:
     entropy_final: float
 
     @property
-    def forward_blocked(self) -> bool:
-        return self.verdict is Verdict.INCOMPARABLE
-
-    @property
     def backward_blocked(self) -> bool:
         return NO_DELETING
 
@@ -88,35 +84,24 @@ class WitnessBlock:
     """Closed-form reports of the witness pair at n overlaps, as arrays.
 
     Row k holds what the PairReport of alphas[k] holds: the overlap as a
-    double, the descending initial and final weights, whether the pair is
-    incomparable there (alpha >= R; ForwardOnly otherwise), and both
-    entropies.
+    double, spectra[k] the descending initial and final weights (2, 3),
+    whether the pair is incomparable there (alpha >= R; ForwardOnly
+    otherwise), and entropies[k] the initial and final entropies.
     """
 
     alphas: np.ndarray
-    initial: np.ndarray
-    final: np.ndarray
+    spectra: np.ndarray
     incomparable: np.ndarray
-    entropy_initial: np.ndarray
-    entropy_final: np.ndarray
+    entropies: np.ndarray
 
     def reports(self) -> list:
         return [
-            PairReport(
-                alpha=alpha,
-                initial_spectrum=tuple(li),
-                final_spectrum=tuple(lf),
-                verdict=WITNESS_VERDICTS[incomparable],
-                entropy_initial=ent_i,
-                entropy_final=ent_f,
-            )
-            for alpha, li, lf, incomparable, ent_i, ent_f in zip(
+            PairReport(alpha, tuple(initial), tuple(final), WITNESS_VERDICTS[inc], *ents)
+            for alpha, (initial, final), inc, ents in zip(
                 self.alphas.tolist(),
-                self.initial.tolist(),
-                self.final.tolist(),
+                self.spectra.tolist(),
                 self.incomparable.tolist(),
-                self.entropy_initial.tolist(),
-                self.entropy_final.tolist(),
+                self.entropies.tolist(),
             )
         ]
 
@@ -140,19 +125,12 @@ def classify_block(alphas) -> WitnessBlock:
     alone (see _checked_spectra), the verdict of the overlap's side of R,
     and the entropies of its weights.
     """
-    doubles, initial, final = _checked_spectra(alphas)
-    return WitnessBlock(
-        alphas=doubles,
-        initial=initial,
-        final=final,
-        incomparable=doubles >= R,
-        entropy_initial=entropy_rows(initial),
-        entropy_final=entropy_rows(final),
-    )
+    doubles, spectra = _checked_spectra(alphas)
+    return WitnessBlock(doubles, spectra, doubles >= R, entropy_rows(spectra))
 
 
 def _checked_spectra(alphas) -> tuple:
-    """The overlaps as doubles and their (n, 3) descending closed-form
+    """The overlaps as doubles and their (n, 2, 3) descending closed-form
     initial and final weights, held to the numeric route.
 
     The first overlap, in list order, that is not a real number or lies
@@ -186,7 +164,7 @@ def _checked_spectra(alphas) -> tuple:
                 f"alpha={float(chunk[k])}: closed-form and numeric weights differ "
                 f"by {gap[k]:.3g}, more than {ROUTE_GAP:g}"
             )
-    return doubles, spectra[:, 0], spectra[:, 1]
+    return doubles, spectra
 
 
 def _numeric_spectra(alphas) -> np.ndarray:
@@ -288,7 +266,7 @@ def report_row(report: PairReport) -> dict:
         str(report.verdict),
         report.entropy_initial,
         report.entropy_final,
-        report.forward_blocked,
+        report.paper_claim_upheld,  # the forward conversion is blocked exactly then
         report.backward_blocked,
         report.paper_claim_upheld,
     )))

@@ -93,6 +93,10 @@ class TestOverlapGate:
         pytest.param(1.5, "1.5", id="1.5"),
         pytest.param(math.nan, "nan", id="nan"),
         pytest.param(Fraction(3, 2), "3/2", id="3/2"),
+        # past the double range: compared exactly, never read with float()
+        pytest.param(10**400, str(10**400), id="10**400"),
+        pytest.param(-10**400, str(-10**400), id="-10**400"),
+        pytest.param(Fraction(10**400, 3), f"{10**400}/3", id="10**400/3"),
     ])
     def test_out_of_range_alpha_rejected(self, alpha, shown, capsys):
         message = f"alpha must lie in [0, 1], got {shown}"

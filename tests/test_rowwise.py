@@ -1,7 +1,7 @@
 """The witness block, bit for bit against the scalar route.
 
-The report path classifies whole lists of overlaps as (n, 3) arrays.  Every
-double it produces (weights, entropies) must be exactly what
+The report path classifies whole lists of overlaps as (n, 2, 3) arrays.
+Every double it produces (weights, entropies) must be exactly what
 closed_form_*_spectrum and entanglement_entropy give for one pair, and its
 entropies what the scalar gives on any descending triple, including ties,
 zeros and negatives.  Its verdicts follow the exact rule (sweep.R), which the
@@ -12,6 +12,7 @@ band.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -68,11 +69,11 @@ def test_closed_form_block_matches_scalar_route():
         ent_f.append(entanglement_entropy(lf))
     codes = [1 + 2 * (alpha >= sweep_module.R) for alpha in alphas]
     assert block.alphas.tolist() == alphas
-    assert _bits(block.initial) == _bits(initial)
-    assert _bits(block.final) == _bits(final)
+    assert _bits(block.spectra[:, 0]) == _bits(initial)
+    assert _bits(block.spectra[:, 1]) == _bits(final)
     assert block.incomparable.tolist() == [c == 3 for c in codes]
-    assert _bits(block.entropy_initial) == _bits(ent_i)
-    assert _bits(block.entropy_final) == _bits(ent_f)
+    assert _bits(block.entropies[:, 0]) == _bits(ent_i)
+    assert _bits(block.entropies[:, 1]) == _bits(ent_f)
     # the tolerance route differs from the exact rule only inside the band,
     # and the random overlaps reach the band at both ends
     differ = [a for a, c, t in zip(alphas, codes, tolerance_codes) if c != t]
@@ -107,7 +108,7 @@ def test_block_powers_are_the_scalar_pow():
     alphas = [a for split in POW_SPLIT_ALPHAS.values() for a in split]
     rows = construction_module.closed_form_rows(alphas)
     block = sweep_module.classify_block(alphas)
-    for alpha, row, li, lf in zip(alphas, rows, block.initial, block.final):
+    for alpha, row, (li, lf) in zip(alphas, rows, block.spectra):
         want_i = closed_form_initial_spectrum(alpha)
         want_f = closed_form_final_spectrum(alpha)
         assert _bits(row) == _bits([want_i, want_f]), alpha
@@ -185,3 +186,22 @@ def test_entropy_rows_match_scalar_entropy():
     rows = np.array(_triples(6007, 8000))
     expected = [entanglement_entropy(r) for r in rows.tolist()]
     assert _bits(entropy_rows(rows)) == _bits(expected)
+    # the witness block's stacked (n, 2, 3) shape gives (n, 2), row by row
+    pairs = entropy_rows(rows.reshape(-1, 2, 3))
+    assert pairs.shape == (len(rows) // 2, 2)
+    assert _bits(pairs) == _bits(expected)
+
+
+def test_block_memory_stays_within_a_bound_per_overlap():
+    # the entropies are taken one weight column at a time, so no temporary
+    # of the whole (n, 2, 3) array adds to the stacked spectra the block
+    # keeps (with numpy 2.4 about 107 B per overlap; a pass over the whole
+    # stacked array peaks near 255 B)
+    alphas = sweep_module.grid(0.01, 0.99, 1 << 16)
+    tracemalloc.start()
+    try:
+        sweep_module.classify_block(alphas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200 * len(alphas), peak / len(alphas)

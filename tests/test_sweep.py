@@ -43,14 +43,14 @@ class TestClassifyConstruction:
         report = classify_construction(0.9)
         assert report.verdict is Verdict.INCOMPARABLE
         assert report.paper_claim_upheld is True
-        assert report.forward_blocked is True
+        assert report_row(report)["forward_blocked"] is True
         assert report.backward_blocked is True
 
     def test_half_overlap_is_forward_only(self):
         report = classify_construction(0.5)
         assert report.verdict is Verdict.FORWARD_ONLY
         assert report.paper_claim_upheld is False
-        assert report.forward_blocked is False
+        assert report_row(report)["forward_blocked"] is False
         assert report.backward_blocked is True
 
     def test_half_overlap_exact_partial_sums(self):
@@ -222,6 +222,20 @@ class TestReportRow:
         assert row["forward_blocked"] is False
         assert row["backward_blocked"] is True
         assert row["paper_claim_upheld"] is False
+
+    @pytest.mark.parametrize("lo, hi", [
+        (0.3, 0.9), (math.nextafter(sweep_module.R, 0.0), sweep_module.R),
+    ])
+    def test_row_is_the_cli_row(self, lo, hi, capsys):
+        # the library row and the CLI's row, formatted from the block's
+        # arrays, hold the same 13 values at overlaps on both sides of R
+        argv = ["paper-verify", "--alpha-min", repr(lo), "--alpha-max", repr(hi),
+                "--steps", "2", "--format", "json"]
+        assert main(argv) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [row["verdict"] for row in rows] == ["ForwardOnly", "Incomparable"]
+        for alpha, row in zip((lo, hi), rows):
+            assert report_row(classify_construction(alpha)) == row
 
 
 class TestGrid:
