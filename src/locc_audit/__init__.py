@@ -1,16 +1,12 @@
 """Majorization-based LOCC convertibility of bipartite pure states, with a
-verification sweep over the no-cloning/no-deleting witness construction."""
+verification sweep over the no-cloning/no-deleting witness construction.
+A name not exported here is imported from its module."""
 
 from .construction import (
-    BLANK_CHOICES,
     INITIAL_TERMS,
     DegenerateOverlapError,
-    MachineDomainError,
-    MissingBlankError,
-    SymbolicState,
     apply_cloner,
     apply_deleter,
-    blank_state,
     branch_gram,
     build_initial,
     closed_form_final_spectrum,
@@ -21,23 +17,9 @@ from .construction import (
     initial_spectrum_values,
     normalizer,
     raw_expansion,
-    witness_gram,
 )
-from .linalg import (
-    ATOL_ITERATIVE,
-    ATOL_STRUCTURAL,
-    NORM_GATE,
-    DensityMatrix,
-    NotHermitianError,
-    NotNormalizedError,
-    PureState,
-    ShapeError,
-    hermitian_eigs,
-    kron,
-    partial_trace_b,
-)
+from .linalg import hermitian_eigs, partial_trace_b
 from .majorization import (
-    FastPathInapplicable,
     Verdict,
     classify,
     entanglement_entropy,
@@ -46,18 +28,13 @@ from .majorization import (
     schmidt_vector,
 )
 from .sweep import (
-    REPORT_FIELDS,
-    InternalInconsistencyError,
-    NonMonotoneBoundaryError,
     PairReport,
-    SweepRangeError,
     ThresholdResult,
     classify_block,
     classify_construction,
     find_threshold,
     grid,
     no_deleting_check,
-    report_row,
 )
 
 __version__ = "0.1.0"

@@ -40,7 +40,7 @@ from numbers import Real
 
 import numpy as np
 
-from .linalg import DensityMatrix, PureState
+from .linalg import PureState
 
 ZERO_SYMBOL = "Z"
 PSI_SYMBOL = "P"
@@ -233,16 +233,16 @@ def normalizer(state: SymbolicState):
     return gram[0][0] + gram[1][1] + gram[2][2]
 
 
-def gram_reduced_density(state: SymbolicState) -> DensityMatrix:
-    """Alice's reduced density matrix from symbolic overlaps alone: the
-    branch Gram matrix over its trace.
+def gram_reduced_density(state: SymbolicState) -> np.ndarray:
+    """Alice's 3 x 3 reduced density matrix from symbolic overlaps alone:
+    the branch Gram matrix over its trace, as a complex array.
 
     Matches partial_trace_b of the numeric expansion within 1e-12 for any
     blank choice, since the blank drops out of every overlap.
     """
     norm = normalizer(state)
     entries = [[float(g / norm) for g in row] for row in branch_gram(state)]
-    return DensityMatrix(3, np.array(entries, dtype=np.complex128))
+    return np.array(entries, dtype=np.complex128)
 
 
 def initial_spectrum_values(alpha):
@@ -309,23 +309,23 @@ def closed_form_final_spectrum(alpha) -> tuple:
     return tuple(sorted(values, reverse=True))
 
 
-def _require_unit(alpha) -> float:
+def _require_unit(alpha):
     """The overlap gate: alpha, a real number such as a float or a
     Fraction (not text), lies in [0, 1]."""
     if not isinstance(alpha, Real):
         raise ValueError(f"alpha must be a real number, got {alpha!r}")
     if not 0 <= alpha <= 1:  # exact: float() overflows past the double range
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    return float(alpha)
 
 
 def require_interior(alpha):
     """The overlap gate of the builders and closed forms: alpha passes
-    the [0, 1] gate, then DegenerateOverlapError rejects 0 and 1."""
-    a = _require_unit(alpha)
-    if a <= 0.0 or a >= 1.0:
+    the [0, 1] gate, then DegenerateOverlapError rejects 0 and 1, both
+    compared exactly and named as given."""
+    _require_unit(alpha)
+    if not 0 < alpha < 1:
         raise DegenerateOverlapError(
-            f"overlap alpha={a} is degenerate: need 0 < alpha < 1"
+            f"overlap alpha={alpha} is degenerate: need 0 < alpha < 1"
         )
 
 

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Tolerance regime: structural identities are checked at 1e-12, iteratively
-# computed quantities at 1e-10, and input normalization is gated at 1e-6
-# (inputs inside the gate are renormalized silently, beyond it rejected).
-ATOL_STRUCTURAL = 1e-12
+# Input gates: hermitian_eigs rejects an entry of h - h^H beyond
+# ATOL_ITERATIVE; PureState renormalizes a norm within NORM_GATE of 1 and
+# rejects one beyond it (exit 3 for a state file), as partial_trace_b does.
 ATOL_ITERATIVE = 1e-10
 NORM_GATE = 1e-6
 
@@ -66,24 +65,6 @@ class PureState:
         self.amps = self.amps / norm
 
 
-@dataclass
-class DensityMatrix:
-    """Hermitian, trace-one matrix (a reduced state on one side)."""
-
-    dim: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries = _as_finite_complex(self.entries, "entries")
-        if self.entries.shape != (self.dim, self.dim):
-            raise ShapeError(f"expected a {self.dim}x{self.dim} matrix")
-        if np.max(np.abs(self.entries - self.entries.conj().T)) > ATOL_STRUCTURAL:
-            raise NotHermitianError("density matrix is not Hermitian within 1e-12")
-        tr = complex(np.trace(self.entries))
-        if abs(tr - 1.0) > ATOL_ITERATIVE:
-            raise ValueError(f"density matrix trace {tr} is not 1 within 1e-10")
-
-
 def kron(a, b) -> np.ndarray:
     """Tensor (Kronecker) product of two matrices or vectors."""
     a = np.asarray(a, dtype=np.complex128)
@@ -93,11 +74,12 @@ def kron(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def partial_trace_b(state: PureState) -> DensityMatrix:
-    """Reduced density matrix on the first subsystem, tracing out the second.
+def partial_trace_b(state: PureState) -> np.ndarray:
+    """Reduced density matrix on the first subsystem, tracing out the second,
+    as a (dim_a, dim_a) complex array.
 
-    rho[j, k] = sum_m amps[j, m] * conj(amps[k, m]).  The result is divided
-    by its trace so the unit-trace invariant holds exactly.
+    rho[j, k] = sum_m amps[j, m] * conj(amps[k, m]), Hermitian by
+    construction; it is divided by its trace so the trace is 1.
     """
     amps = np.asarray(state.amps, dtype=np.complex128).reshape(-1)
     norm = float(np.linalg.norm(amps))
@@ -106,17 +88,15 @@ def partial_trace_b(state: PureState) -> DensityMatrix:
     m = amps.reshape(state.dim_a, state.dim_b)
     rho = m @ m.conj().T
     rho /= np.trace(rho).real
-    return DensityMatrix(state.dim_a, rho)
+    return rho
 
 
 def hermitian_eigs(h) -> np.ndarray:
     """Eigenvalues (descending) of a Hermitian matrix via LAPACK's eigvalsh.
 
-    Accepts a plain ndarray or a DensityMatrix.  The input must be
-    Hermitian within 1e-10 and is symmetrized before the solve.
+    The input must be finite, square and Hermitian within 1e-10
+    (ATOL_ITERATIVE); it is symmetrized before the solve.
     """
-    if isinstance(h, DensityMatrix):
-        h = h.entries
     a = _as_finite_complex(h, "matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError("expected a square matrix")

@@ -134,7 +134,8 @@ def _checked_spectra(alphas) -> tuple:
     initial and final weights, held to the numeric route.
 
     The first overlap, in list order, that is not a real number or lies
-    outside (0, 1) raises the scalar gate's error.  Then, CROSS_CHECK_BLOCK
+    outside (0, 1) raises the scalar gate's error, and one that is not
+    exactly a double (1/3) raises ValueError.  Then, CROSS_CHECK_BLOCK
     overlaps at a time, the closed-form rows of the doubles
     (closed_form_rows, bit for bit the scalar closed forms) are held to
     the Schmidt weights of the branch Gram matrices of both states, from
@@ -147,6 +148,8 @@ def _checked_spectra(alphas) -> tuple:
     if not all(issubclass(kind, float) for kind in set(map(type, alphas))):
         for alpha in alphas:  # a non-number stops here, in list order
             require_interior(alpha)
+            if float(alpha) != alpha:  # its double may lie on the other side of R
+                raise ValueError(f"alpha={alpha} is not exactly a double")
     doubles = np.array(alphas, dtype=np.float64)
     outside = ~((doubles > 0.0) & (doubles < 1.0))
     if outside.any():

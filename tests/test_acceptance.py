@@ -124,14 +124,14 @@ def test_criterion_03_reduced_state_structure(capsys):
     for alpha in GRID:
         pre, post = witness_pair(alpha)
         for rho_i in (
-            partial_trace_b(expand(pre)).entries,
-            gram_reduced_density(pre).entries,
+            partial_trace_b(expand(pre)),
+            gram_reduced_density(pre),
         ):
             worst_off = max(worst_off, np.max(np.abs(rho_i[off_diag])))
         expected = -2.0 * alpha**2 * (1.0 - alpha) / (2.0 * (3.0 - alpha**5))
         for rho_f in (
-            partial_trace_b(expand(post)).entries,
-            gram_reduced_density(post).entries,
+            partial_trace_b(expand(post)),
+            gram_reduced_density(post),
         ):
             worst_entry = max(worst_entry, abs(rho_f[1, 2] - expected))
             worst_off_f = max(abs(rho_f[0, 1]), abs(rho_f[0, 2]))
@@ -139,8 +139,8 @@ def test_criterion_03_reduced_state_structure(capsys):
         for state in (pre, post):
             gap = np.max(
                 np.abs(
-                    partial_trace_b(expand(state)).entries
-                    - gram_reduced_density(state).entries
+                    partial_trace_b(expand(state))
+                    - gram_reduced_density(state)
                 )
             )
             worst_route = max(worst_route, float(gap))

@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 
 import locc_audit.cli as cli
-from locc_audit import REPORT_FIELDS
 from locc_audit.cli import MAX_AMPLITUDES, build_parser, main
-from locc_audit.sweep import MAX_STEPS
+from locc_audit.sweep import MAX_STEPS, REPORT_FIELDS
 
 RT2 = 0.7071067811865476
 

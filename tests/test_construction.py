@@ -12,18 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locc_audit import (
-    BLANK_CHOICES,
     INITIAL_TERMS,
     DegenerateOverlapError,
-    MachineDomainError,
-    MissingBlankError,
-    SymbolicState,
     apply_cloner,
     apply_deleter,
-    blank_state,
     branch_gram,
     build_initial,
     classify_block,
+    classify_construction,
     closed_form_final_spectrum,
     closed_form_initial_spectrum,
     expand,
@@ -34,9 +30,16 @@ from locc_audit import (
     partial_trace_b,
     raw_expansion,
     schmidt_vector,
-    witness_gram,
 )
 from locc_audit.cli import main
+from locc_audit.construction import (
+    BLANK_CHOICES,
+    MachineDomainError,
+    MissingBlankError,
+    SymbolicState,
+    blank_state,
+    witness_gram,
+)
 from oracles import (
     exact_classify,
     fraction_matrix,
@@ -130,6 +133,25 @@ class TestOverlapGate:
             classify_block([0.3, 1.5, "0.5"])
         with pytest.raises(DegenerateOverlapError):
             classify_block([Fraction(1, 2), 0.0, b"0.5"])
+
+    @pytest.mark.parametrize("alpha", [Fraction(1, 3), Fraction(1, 10**400)],
+                             ids=["1/3", "1/10**400"])
+    def test_overlap_that_is_not_a_double_gets_no_verdict(self, alpha):
+        # a witness verdict is the side of R of a double: an overlap that
+        # rounds to one is named as given, not read as its double
+        with pytest.raises(ValueError) as exc:
+            classify_construction(alpha)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == f"alpha={alpha} is not exactly a double"
+
+    def test_interior_overlap_below_the_double_range_is_interior(self):
+        # compared exactly, not as its double 0.0
+        tiny = Fraction(1, 10**400)
+        assert build_initial(tiny).alpha is tiny
+        assert closed_form_initial_spectrum(tiny) == (1 / 3, 1 / 3, 1 / 3)
+        for alpha in (Fraction(0), 1):  # named as given
+            with pytest.raises(DegenerateOverlapError, match=rf"^overlap alpha={alpha} "):
+                build_initial(alpha)
 
     def test_endpoints_are_representable(self):
         for alpha, beta in ((0.0, 1.0), (1.0, 0.0)):
@@ -353,8 +375,8 @@ def test_machines_and_numeric_routes_on_any_word_table(words, tails, alpha):
         raw = raw_expansion(state)
         assert float(normalizer(state)) == pytest.approx(np.vdot(raw, raw).real, abs=1e-12)
         np.testing.assert_allclose(
-            gram_reduced_density(state).entries,
-            partial_trace_b(expand(state)).entries,
+            gram_reduced_density(state),
+            partial_trace_b(expand(state)),
             rtol=0,
             atol=1e-12,
         )
@@ -363,7 +385,7 @@ def test_machines_and_numeric_routes_on_any_word_table(words, tails, alpha):
 class TestReducedDensity:
     def test_initial_structure_on_grid(self):
         for alpha in ALPHAS:
-            rho = gram_reduced_density(build_initial(alpha)).entries
+            rho = gram_reduced_density(build_initial(alpha))
             n = 2.0 * (3.0 - alpha**4)
             expected = (
                 np.diag(
@@ -376,7 +398,7 @@ class TestReducedDensity:
     def test_final_off_diagonal_entry(self):
         for alpha in ALPHAS:
             state = apply_cloner(build_initial(alpha))
-            rho = gram_reduced_density(state).entries
+            rho = gram_reduced_density(state)
             n = 2.0 * (3.0 - alpha**5)
             assert rho[1, 2].real == pytest.approx(
                 -2.0 * alpha**2 * (1.0 - alpha) / n, abs=1e-12
@@ -388,8 +410,8 @@ class TestReducedDensity:
         for alpha in ALPHAS:
             initial = build_initial(alpha)
             for state in (initial, apply_cloner(initial)):
-                symbolic = gram_reduced_density(state).entries
-                numeric = partial_trace_b(expand(state)).entries
+                symbolic = gram_reduced_density(state)
+                numeric = partial_trace_b(expand(state))
                 np.testing.assert_allclose(numeric, symbolic, atol=1e-12)
 
     def test_orthogonal_symbol_limit_bypassing_the_gate(self):
@@ -399,7 +421,7 @@ class TestReducedDensity:
         gram = branch_gram(state)
         assert gram == [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
         np.testing.assert_array_equal(
-            gram_reduced_density(state).entries, np.eye(3) / 3.0
+            gram_reduced_density(state), np.eye(3) / 3.0
         )
 
 

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 
 from conftest import float_probs, simplex_pair, strict_triple_pair
 from locc_audit import (
-    FastPathInapplicable,
-    PureState,
     Verdict,
     build_initial,
     classify,
@@ -22,6 +20,8 @@ from locc_audit import (
     is_majorized_by,
     schmidt_vector,
 )
+from locc_audit.linalg import PureState
+from locc_audit.majorization import FastPathInapplicable
 from oracles import exact_classify
 
 

@@ -13,10 +13,6 @@ import pytest
 
 from locc_audit import (
     DegenerateOverlapError,
-    InternalInconsistencyError,
-    NonMonotoneBoundaryError,
-    REPORT_FIELDS,
-    SweepRangeError,
     Verdict,
     apply_cloner,
     build_initial,
@@ -26,12 +22,18 @@ from locc_audit import (
     find_threshold,
     grid,
     no_deleting_check,
-    report_row,
     schmidt_vector,
 )
 import locc_audit.sweep as sweep_module
 from locc_audit.cli import main
-from locc_audit.sweep import sweep
+from locc_audit.sweep import (
+    REPORT_FIELDS,
+    InternalInconsistencyError,
+    NonMonotoneBoundaryError,
+    SweepRangeError,
+    report_row,
+    sweep,
+)
 
 # the root of the forward gap's factor p, to 20 places (see
 # tests/test_witness_algebra.py)

@@ -18,10 +18,14 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from locc_audit import (
+    Verdict,
     apply_cloner,
     build_initial,
+    classify_construction,
     final_spectrum_values,
     initial_spectrum_values,
 )
@@ -109,3 +113,54 @@ def test_verdict_boundary_is_pinned_to_a_double():
     p = sp.Poly(P, a)
     assert p.eval(sp.Rational(Fraction(R))) < 0
     assert p.eval(sp.Rational(Fraction(below))) > 0
+
+
+def _exact_verdict(alpha: Fraction) -> Verdict:
+    """The witness verdict at an overlap from the exact sign of p: forward
+    conversion allowed where p > 0 (p has no rational root)."""
+    value = sp.Poly(P, a).eval(sp.Rational(alpha))
+    assert value != 0
+    return Verdict.FORWARD_ONLY if value > 0 else Verdict.INCOMPARABLE
+
+
+def _root_bracket(steps: int) -> Fraction:
+    """The midpoint of an exact bisection of p's sign change between R's
+    predecessor and R: within 2**-steps of that gap (about 1.1e-16) of r."""
+    lo, hi = Fraction(math.nextafter(R, 0.0)), Fraction(R)
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        if _exact_verdict(mid) is Verdict.FORWARD_ONLY:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+ROOT = _root_bracket(120)  # within 1e-52 of r
+# the midpoint between R's predecessor and R: a Fraction above it rounds to R
+HALFWAY = (Fraction(math.nextafter(R, 0.0)) + Fraction(R)) / 2
+
+
+def test_a_fraction_that_rounds_to_R_below_the_root_is_rejected():
+    # x rounds to R, where the double's verdict is Incomparable, but x lies
+    # below r, so its exact verdict is ForwardOnly: the library may not
+    # read x as its double, and rejects it instead
+    x = (HALFWAY + ROOT) / 2
+    assert HALFWAY < x < ROOT and float(x) == R
+    assert _exact_verdict(x) is Verdict.FORWARD_ONLY
+    with pytest.raises(ValueError, match=rf"^alpha={x} is not exactly a double$"):
+        classify_construction(x)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(-10**30, 10**30).map(lambda k: ROOT + Fraction(k, 10**60)))
+@example(Fraction(math.nextafter(R, 0.0)))  # a double: ForwardOnly
+@example(Fraction(R))  # a double: Incomparable
+def test_verdict_near_the_root_is_the_sign_of_p(alpha):
+    """Overlaps within 1e-30 of r, and the two doubles around it: where
+    the library gives a verdict, it is the exact one."""
+    try:
+        verdict = classify_construction(alpha).verdict
+    except ValueError:
+        return
+    assert verdict is _exact_verdict(alpha)
