@@ -26,7 +26,7 @@ from .construction import (
     build_initial,
     expand,
 )
-from .linalg import NotNormalizedError, PureState
+from .linalg import NotNormalizedError, normalized
 from .majorization import classify, entanglement_entropy, schmidt_vector
 from .sweep import (
     CROSS_CHECK_BLOCK,
@@ -118,8 +118,9 @@ def parse_inline_schmidt(text: str) -> tuple:
     return tuple(sorted((v / total for v in values), reverse=True))
 
 
-def load_state_file(path: str) -> PureState:
-    """Read a StateFile JSON document into a PureState.
+def load_state_file(path: str) -> np.ndarray:
+    """Read a StateFile JSON document into its gated (dA, dB) amplitude
+    matrix (linalg.normalized).
 
     Schema: {"dims": [dA, dB], "amps": [[i, j, re, im], ...]} with 0-based
     indices.  Each value's JSON type is checked before it is used: dims or
@@ -127,8 +128,8 @@ def load_state_file(path: str) -> PureState:
     re or im that are not JSON numbers (a bool or a string), are malformed
     input, and so are duplicate or out-of-range indices and dims declaring
     more than MAX_AMPLITUDES amplitudes, and so is a file longer than
-    MAX_STATE_CHARS characters; a norm outside the 1e-6 gate is a
-    normalization failure.
+    MAX_STATE_CHARS characters; a norm more than NORM_GATE (1e-6) from 1
+    is a normalization failure.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -168,7 +169,7 @@ def load_state_file(path: str) -> PureState:
 
     if not isinstance(entries, list):
         raise CliInputError(f"{path}: amps must be a list")
-    amps = {}  # flat index -> amplitude
+    amps = {}  # row-major flat index (as vec.reshape reads it) -> amplitude
     for entry in entries:
         try:
             i, j, real, imag = entry
@@ -190,7 +191,7 @@ def load_state_file(path: str) -> PureState:
     vec = np.zeros(dim_a * dim_b, dtype=np.complex128)
     vec[list(amps)] = list(amps.values())
     try:
-        return PureState(dim_a, dim_b, vec)
+        return normalized(vec.reshape(dim_a, dim_b))
     except ValueError as exc:  # a norm outside the gate, or a NaN or Inf amplitude
         raise type(exc)(f"{path}: {exc}") from None
 
@@ -281,9 +282,8 @@ def cmd_show_state(args):
     state = pre if args.which == "initial" else apply_cloner(pre)
     psi = expand(state, args.blank)
     sv = schmidt_vector(psi)
-    nonzero = np.flatnonzero(psi.amps)
-    i, j = np.divmod(nonzero, psi.dim_b)
-    values = psi.amps[nonzero]
+    i, j = np.nonzero(psi)
+    values = psi[i, j]
     amps = zip(i.tolist(), j.tolist(), values.real.tolist(), values.imag.tolist())
     # JSON writes each amplitude as an array [i, j, re, im], CSV as a line
     fields = None if args.format == "json" else AMP_FIELDS
@@ -294,7 +294,7 @@ def cmd_show_state(args):
         return [report], "schmidt=" + _vector(sv, "csv")
     return [_record(
         ("dims", "amps", "schmidt"), ("value",) * 3, "json",
-        _vector((psi.dim_a, psi.dim_b), "json"), _array(rows, "json"),
+        _vector(psi.shape, "json"), _array(rows, "json"),
         _vector(sv, "json"),
     )], None
 

@@ -40,7 +40,7 @@ from numbers import Real
 
 import numpy as np
 
-from .linalg import PureState
+from .linalg import normalized
 
 ZERO_SYMBOL = "Z"
 PSI_SYMBOL = "P"
@@ -146,7 +146,7 @@ def blank_state(choice: str) -> np.ndarray:
 
 
 def raw_expansion(state: SymbolicState, blank="zero") -> np.ndarray:
-    """Unnormalized numeric amplitudes, row-major in (Alice, Bob) index.
+    """Unnormalized amplitude matrix, (3, 2^L) in (Alice, Bob) index.
 
     Each branch word's vector is the outer product of its symbol vectors,
     taken left to right over all six words at once; the signed words are
@@ -167,14 +167,15 @@ def raw_expansion(state: SymbolicState, blank="zero") -> np.ndarray:
     amps = np.zeros((3, words.shape[-1]), dtype=np.complex128)
     for (level, sign, _), word in zip(INITIAL_TERMS, words):
         amps[level - 1] += sign * word
-    return amps.reshape(-1)
+    return amps
 
 
-def expand(state: SymbolicState, blank="zero") -> PureState:
-    """Numeric 3 x 32 pure state realizing the symbolic construction."""
+def expand(state: SymbolicState, blank="zero") -> np.ndarray:
+    """Numeric 3 x 32 pure state realizing the symbolic construction: the
+    raw expansion over its norm, then through the norm gate (normalized),
+    which divides again; the golden outputs pin the bits of both divisions."""
     raw = raw_expansion(state, blank)
-    dim_b = raw.size // 3
-    return PureState(3, dim_b, raw / np.linalg.norm(raw))
+    return normalized(raw / np.linalg.norm(raw))
 
 
 def _gram_tensor(state: SymbolicState) -> np.ndarray:

@@ -20,8 +20,6 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import PureState
-
 # All comparisons of near-equal Schmidt weights are absolute: the values
 # live in [0, 1], where a relative tolerance misbehaves near zero.
 ATOL = 1e-10
@@ -51,16 +49,17 @@ def _weights(v) -> tuple:
     return weights
 
 
-def schmidt_vector(state: PureState) -> tuple:
-    """Schmidt vector of a bipartite pure state.
+def schmidt_vector(amps) -> tuple:
+    """Schmidt vector of a bipartite pure state, given as its dim_a x dim_b
+    amplitude matrix.
 
-    The Schmidt coefficients are the singular values of the dim_a x dim_b
-    amplitude matrix (LAPACK SVD, either side may be the smaller, returned
-    descending), so the weights are their squares over their sum:
-    min(dim_a, dim_b) of them, never negative, and already a Schmidt
-    vector, with no input gate to pass.
+    The Schmidt coefficients are the singular values of that matrix
+    (LAPACK SVD, either side may be the smaller, returned descending), so
+    the weights are their squares over their sum: min(dim_a, dim_b) of
+    them, never negative, and already a Schmidt vector.  The matrix passes
+    no gate here: linalg.normalized is the one norm gate.
     """
-    s = np.linalg.svd(state.amps.reshape(state.dim_a, state.dim_b), compute_uv=False)
+    s = np.linalg.svd(amps, compute_uv=False)
     weights = s * s
     return tuple((weights / weights.sum()).tolist())
 

@@ -298,7 +298,7 @@ class TestStateFileValidation:
          "amps contains NaN or Inf entries"),
     ], ids=["norm-gate", "nan", "overflowing-literal"])
     def test_state_fault_names_its_file(self, doc, code, message, tmp_path, capsys):
-        # PureState's own checks once reached stderr without the path, so
+        # the gate's own checks once reached stderr without the path, so
         # with two state files the message did not say which was at fault
         bad = tmp_path / "bad.json"
         bad.write_text(doc)
@@ -320,6 +320,18 @@ class TestStateFileValidation:
             f"error: {path}: bad amplitude entry {entry!r}: "
             "int too large to convert to float\n"
         )
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (64, 2), (2, 64)])
+    def test_entries_land_at_their_index(self, dims, tmp_path):
+        # the state is the (dA, dB) matrix with each written amplitude at
+        # [i, j]; a transposed reshape would move every entry of these
+        rng = np.random.default_rng(dims[0])
+        m = rng.normal(size=dims) + 1j * rng.normal(size=dims)
+        m /= np.linalg.norm(m)
+        entries = [[i, j, v.real, v.imag] for (i, j), v in np.ndenumerate(m)]
+        state = cli.load_state_file(write_state(tmp_path / "s.json", list(dims), entries))
+        assert state.shape == dims
+        np.testing.assert_allclose(state, m, rtol=0, atol=1e-15)
 
     def test_norm_violation_exits_3(self, tmp_path):
         path = write_state(

@@ -17,9 +17,9 @@ from locc_audit.linalg import (
     ATOL_ITERATIVE,
     NotHermitianError,
     NotNormalizedError,
-    PureState,
     ShapeError,
     kron,
+    normalized,
 )
 
 # structural identities (Hermiticity, exact reductions) hold to this
@@ -31,10 +31,10 @@ def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def random_pure_state(rng: np.random.Generator, da: int, db: int) -> PureState:
+def random_pure_state(rng: np.random.Generator, da: int, db: int) -> np.ndarray:
     amps = rng.normal(size=(da, db)) + 1j * rng.normal(size=(da, db))
     amps /= np.linalg.norm(amps)
-    return PureState(da, db, amps)
+    return amps
 
 
 class TestKron:
@@ -74,45 +74,55 @@ class TestKron:
             kron(np.zeros((0, 2)), np.eye(2))
 
 
-class TestPureState:
+class TestNormalized:
     def test_small_norm_drift_is_renormalized(self):
         amps = np.zeros((2, 2), dtype=complex)
         amps[0, 0] = 1.0 + 2e-7
-        state = PureState(2, 2, amps)
-        assert abs(np.linalg.norm(state.amps) - 1.0) <= 1e-12
+        state = normalized(amps)
+        assert state.shape == (2, 2)
+        assert abs(np.linalg.norm(state) - 1.0) <= 1e-12
 
     def test_gross_norm_violation_rejected(self):
         amps = np.zeros((2, 2), dtype=complex)
         amps[0, 0] = 1.5
-        with pytest.raises(NotNormalizedError):
-            PureState(2, 2, amps)
+        with pytest.raises(
+            NotNormalizedError, match=r"^state norm 1\.5 is outside the 1e-6 gate$"
+        ):
+            normalized(amps)
 
     def test_nonfinite_amplitude_rejected(self):
         amps = np.zeros((2, 2), dtype=complex)
         amps[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            PureState(2, 2, amps)
+        with pytest.raises(ValueError, match="^amps contains NaN or Inf entries$"):
+            normalized(amps)
 
     def test_shape_mismatch_rejected(self):
+        # a flat amplitude vector is not a state: the gate takes the matrix
         with pytest.raises(ShapeError):
-            PureState(2, 3, np.zeros((2, 2), dtype=complex))
+            normalized(np.array([1.0, 0.0, 0.0, 0.0]))
 
     def test_nonpositive_dimension_rejected(self):
-        with pytest.raises(ShapeError, match="subsystem dimensions must be positive"):
-            PureState(0, 2, np.zeros(0, dtype=complex))
+        for empty in (np.zeros((0, 2)), np.zeros((2, 0)), np.zeros((0, 0))):
+            with pytest.raises(ShapeError, match="expected a non-empty matrix"):
+                normalized(empty)
+
+    def test_finite_check_comes_first(self):
+        # a NaN in a non-matrix is named as a NaN, not as a shape fault
+        with pytest.raises(ValueError, match="^amps contains NaN or Inf entries$"):
+            normalized(np.array([np.nan, 1.0]))
 
 
 class TestPartialTrace:
     def test_bell_state_is_maximally_mixed(self):
         amps = np.zeros((2, 2), dtype=complex)
         amps[0, 0] = amps[1, 1] = 1.0 / np.sqrt(2.0)
-        rho = partial_trace_b(PureState(2, 2, amps))
+        rho = partial_trace_b(amps)
         np.testing.assert_allclose(rho, np.eye(2) / 2, atol=1e-15)
 
     def test_product_state_is_rank_one(self):
         amps = np.zeros((2, 3), dtype=complex)
         amps[1, 2] = 1.0
-        rho = partial_trace_b(PureState(2, 3, amps))
+        rho = partial_trace_b(amps)
         expected = np.zeros((2, 2))
         expected[1, 1] = 1.0
         np.testing.assert_allclose(rho, expected, atol=1e-15)
@@ -127,18 +137,14 @@ class TestPartialTrace:
     def test_tampered_norm_rejected(self):
         amps = np.zeros((2, 2), dtype=complex)
         amps[0, 0] = amps[1, 1] = 1.0 / np.sqrt(2.0)
-        state = PureState(2, 2, amps)
-        object.__setattr__(state, "amps", state.amps * 1.5)
         with pytest.raises(NotNormalizedError):
-            partial_trace_b(state)
+            partial_trace_b(amps * 1.5)
 
     def test_norm_drift_within_the_gate_is_divided_out(self):
-        # a norm 5e-7 off passes the re-gate, and the trace is still 1
+        # a norm 5e-7 off passes the gate, and the trace is still 1
         amps = np.zeros((2, 2), dtype=complex)
         amps[0, 0] = amps[1, 1] = 1.0 / np.sqrt(2.0)
-        state = PureState(2, 2, amps)
-        object.__setattr__(state, "amps", state.amps * (1.0 + 5e-7))
-        rho = partial_trace_b(state)
+        rho = partial_trace_b(amps * (1.0 + 5e-7))
         assert abs(np.trace(rho) - 1.0) <= 1e-15
 
     def test_random_states_yield_valid_density_matrices(self):
@@ -216,3 +222,9 @@ class TestHermitianEigs:
     def test_rejects_non_square(self):
         with pytest.raises(ShapeError, match="expected a square matrix"):
             hermitian_eigs(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3,), (1, 1, 1)])
+    def test_rejects_empty_or_non_matrix(self, shape):
+        # (0, 0) once reached numpy's max and raised its zero-size error
+        with pytest.raises(ShapeError, match="expected a non-empty matrix"):
+            hermitian_eigs(np.zeros(shape))
